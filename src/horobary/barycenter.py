@@ -14,6 +14,7 @@ p = infinity polish a small KKT solve.
 """
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hyperboloid import SpacePoint, dist, exp_map, minkowski, tangent_basis
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, write_atomic
 
 COSH_MODE = "cosh-distance"
 BUSEMANN_MODE = "exp-busemann"
@@ -176,7 +177,13 @@ def _newton(A, const, logw, p, z, grad_tol, max_iters):
         v = delta @ E
         tau = 1.0
         for _ in range(60):
-            z_new = exp_map(SpacePoint(z), tau * v).coords
+            try:
+                z_new = exp_map(SpacePoint(z), tau * v).coords
+            except ValueError:
+                # a step that lands so far out that -<c, c> loses its sign
+                # to rounding has no point on the sheet: shorten it
+                tau *= 0.5
+                continue
             new_value = _objective_value(A, const, logw, p, z_new)
             if new_value <= value + ARMIJO * tau * slope:
                 break
@@ -343,16 +350,18 @@ class ExperimentTable:
         ]
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.header())
-            for row in self.rows:
-                param, coords, distance, grad_norm, iterations = row
-                writer.writerow(
-                    [_fmt(param)]
-                    + [_fmt(c) for c in coords]
-                    + [_fmt(distance), _fmt(grad_norm), str(iterations)]
-                )
+        """Write the table atomically; rows end in CRLF, as csv.writer ends them."""
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(self.header())
+        for row in self.rows:
+            param, coords, distance, grad_norm, iterations = row
+            writer.writerow(
+                [_fmt(param)]
+                + [_fmt(c) for c in coords]
+                + [_fmt(distance), _fmt(grad_norm), str(iterations)]
+            )
+        write_atomic(path, buf.getvalue())
 
 
 def _fmt(v):

@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -38,7 +37,7 @@ from .extension import (
     mu_x_p,
 )
 from .hyperboloid import ModelConfig, SpacePoint, dist, exp_map, origin, tangent_basis
-from .measures import load_measure, pushforward_qx, uniform_boundary_grid
+from .measures import load_measure, pushforward_qx, uniform_boundary_grid, write_atomic
 from .moebius import BoundaryMap, cross_ratio_deviation, map_from_dict, probe_quadruples
 from .sampling import random_lorentz, random_space_point
 
@@ -183,27 +182,15 @@ def _clean(obj):
     return obj
 
 
-def _write_atomic(path, text):
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _write_json(path, obj):
-    _write_atomic(path, json.dumps(_clean(obj), indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(_clean(obj), indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_cell(v) for v in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _cell(v):

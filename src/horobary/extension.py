@@ -21,7 +21,6 @@ from .barycenter import (
     minimize,
 )
 from .hyperboloid import (
-    BoundaryDirection,
     ModelConfig,
     SpacePoint,
     busemann,
@@ -33,7 +32,13 @@ from .hyperboloid import (
     tangent_basis,
 )
 from .measures import DiscreteMeasure
-from .moebius import BoundaryMap, conjugacy_footpoints, geodesic_conjugacy, _require_moebius
+from .moebius import (
+    BoundaryMap,
+    _pairing,
+    _require_moebius,
+    conjugacy_footpoints,
+    geodesic_conjugacy,
+)
 
 BALANCE_TOL = 1e-8
 MAIN_INEQ_SLACK = 1e-9
@@ -115,8 +120,7 @@ class HullCertificate:
 
 def conjugated_measure(ctx, x):
     """The tangent measure of conjugated directions x -> atom under f."""
-    tangents = conjugacy_footpoints(ctx.f, x, ctx.base_measure)
-    return DiscreteMeasure.from_atoms(tangents, ctx.base_measure.weights)
+    return conjugacy_footpoints(ctx.f, x, ctx.base_measure)
 
 
 def conformal_weight(ctx, x, z, xi):
@@ -124,6 +128,14 @@ def conformal_weight(ctx, x, z, xi):
     visual metric of z, evaluated at f(xi)."""
     y = geodesic_conjugacy(ctx.f, direction_to(x, xi))
     return busemann(z, y.base, ctx.f(xi))
+
+
+def _conformal_weights(ctx, x, z):
+    """conformal_weight(ctx, x, z, atom) for every atom at once:
+    B(z, y_i, f(xi_i)) with y_i the conjugated footpoint of x -> xi_i."""
+    images = ctx.f.apply_rays(ctx.base_measure.coords)
+    foots = conjugacy_footpoints(ctx.f, x, ctx.base_measure).coords
+    return np.log(_pairing(images, z.coords) / _pairing(images, foots))
 
 
 def _image_dirs(ctx, z, rays=None):
@@ -190,15 +202,7 @@ def mu_x_p(ctx, x, p):
         raise ValueError("the reweighted measure needs a finite exponent")
     res = extension_result(ctx, x, p)
     z = res.minimizer
-    foots = conjugacy_footpoints(ctx.f, x, ctx.base_measure)
-    images = ctx.f.apply_rays(ctx.base_measure.coords)
-    phis = np.array(
-        [
-            busemann(z, w.base, BoundaryDirection(images[i]))
-            for i, w in enumerate(foots)
-        ]
-    )
-    logits = np.log(ctx.base_measure.weights) + p * phis
+    logits = np.log(ctx.base_measure.weights) + p * _conformal_weights(ctx, x, z)
     logc = _logsumexp(logits)
     weights = np.exp(logits - logc)
     weights = weights / weights.sum()
@@ -230,11 +234,7 @@ def balance_residual(nu, z):
 
 def argmax_set(ctx, x, y, epsilon=EPS_ARGMAX):
     """Atoms whose conformal weight at (x, y) is within epsilon of the max."""
-    foots = conjugacy_footpoints(ctx.f, x, ctx.base_measure)
-    images = ctx.f.apply_rays(ctx.base_measure.coords)
-    values = np.array(
-        [busemann(y, w.base, BoundaryDirection(images[i])) for i, w in enumerate(foots)]
-    )
+    values = _conformal_weights(ctx, x, y)
     cut = float(np.max(values)) - epsilon
     keep = values >= cut
     members = [ctx.base_measure.atom(i) for i in np.flatnonzero(keep)]
@@ -367,14 +367,14 @@ def main_inequality_audit(ctx, pairs, p, b=None):
     """Both comparison inequalities for cosh of extension displacements."""
     if b is None:
         b = ctx.model.b
+    images = ctx.f.apply_rays(ctx.base_measure.coords)
     rows = []
     worst = -math.inf
     for x, y in pairs:
         fx = extension_result(ctx, x, p).minimizer
         fy = extension_result(ctx, y, p).minimizer
         measure, _ = mu_x_p(ctx, x, p)
-        images = ctx.f.apply_rays(ctx.base_measure.coords)
-        bus = np.array([busemann(fy, fx, BoundaryDirection(r)) for r in images])
+        bus = np.log(_pairing(images, fy.coords) / _pairing(images, fx.coords))
         d = dist(fx, fy)
         upper = float(measure.weights @ np.exp(bus))
         lower = float(measure.weights @ np.exp(b * bus))

@@ -166,6 +166,35 @@ def _tangent(base: SpacePoint, d: np.ndarray) -> UnitTangent:
     return UnitTangent(base, d)
 
 
+def _sq_rows(a: np.ndarray) -> np.ndarray:
+    """Euclidean squared norm of each row: c @ c row by row."""
+    return np.einsum("ij,ij->i", a, a)
+
+
+def _point_rows(c: np.ndarray) -> np.ndarray:
+    """_point on every row of an (m, n+1) array, returning a new array.
+
+    Validation is left to the caller (DiscreteMeasure checks all rows).
+    """
+    q = minkowski(c, c)
+    fix = np.abs(q + 1.0) > RENORM_TOL * np.maximum(1.0, _sq_rows(c))
+    c = c.copy()
+    c[fix] /= np.sqrt(-q[fix])[:, None]
+    return c
+
+
+def _tangent_rows(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """_tangent on every row pair of two (m, n+1) arrays of base points and
+    directions, returning new directions; validation as in _point_rows."""
+    scale = RENORM_TOL * np.maximum(1.0, _sq_rows(d))
+    fix = (np.abs(minkowski(d, d) - 1.0) > scale) | (np.abs(minkowski(x, d)) > scale)
+    d = d.copy()
+    xf, df = x[fix], d[fix]
+    df = df + minkowski(df, xf)[:, None] * xf
+    d[fix] = df / np.sqrt(minkowski(df, df))[:, None]
+    return d
+
+
 # ---------------------------------------------------------------------------
 # distances, geodesics, boundary
 

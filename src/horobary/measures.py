@@ -8,15 +8,20 @@ over atoms.  All pushforwards copy the weight array untouched.
 
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hyperboloid import (
+    CONSTRAINT_TOL,
     BoundaryDirection,
     SpacePoint,
     UnitTangent,
+    _sq_rows,
     direction_to,
+    minkowski,
     tangent_basis,
 )
 
@@ -46,11 +51,13 @@ class DiscreteMeasure:
         weights = np.array(self.weights, float).ravel()
         if coords.shape[0] == 0:
             raise ValueError("measure needs at least one atom")
+        if coords.ndim != 2 or coords.shape[1] < 3:
+            raise ValueError("coords must be one (n+1)-vector per atom with n >= 2")
         if weights.shape[0] != coords.shape[0]:
             raise ValueError("weight count does not match atom count")
-        if np.any(weights <= 0):
+        if not np.all(weights > 0):
             raise ValueError("weights must be positive")
-        if abs(weights.sum() - 1.0) > WEIGHT_TOL:
+        if not abs(weights.sum() - 1.0) <= WEIGHT_TOL:
             raise ValueError("weights must sum to 1")
         dirs = self.dirs
         if self.kind == "tangent":
@@ -68,8 +75,7 @@ class DiscreteMeasure:
         if dirs is not None:
             dirs.flags.writeable = False
             object.__setattr__(self, "dirs", dirs)
-        for i in range(coords.shape[0]):
-            self.atom(i)  # constructor of the element type validates it
+        _check_rows(self.kind, coords, dirs)
 
     def __len__(self):
         return self.coords.shape[0]
@@ -115,6 +121,42 @@ class DiscreteMeasure:
             return cls(kind, coords, weights, dirs)
         coords = np.stack([e.coords for e in elements])
         return cls(kind, coords, weights)
+
+
+def _check_rows(kind, coords, dirs):
+    """The checks of the element type's constructor (SpacePoint,
+    BoundaryDirection, or UnitTangent on a SpacePoint), on all rows at once
+    and with the same relative tolerances.  Rows with a NaN or inf entry are
+    rejected too, which the typed constructors do not do: NaN fails none of
+    their comparisons, and an inf point meets its relative tolerance.
+    """
+
+    def require(ok, what):
+        # a row passes only where ok is True, so a NaN comparison fails
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise ValueError(f"atom {bad[0]}: {what}")
+
+    finite = np.isfinite(coords).all(axis=1)
+    if dirs is not None:
+        finite &= np.isfinite(dirs).all(axis=1)
+    require(finite, "coordinates are not finite")
+    lead = coords[:, 0]
+    if kind == "boundary":
+        require(lead > 0.0, "null vector is not future-pointing (xi0 <= 0)")
+        c = coords / lead[:, None]
+        require(np.abs(minkowski(c, c)) <= CONSTRAINT_TOL, "coords are not on the null cone")
+        return
+    require(lead > 0.0, "point is not on the future sheet (x0 <= 0)")
+    xx = _sq_rows(coords)
+    res = minkowski(coords, coords) + 1.0
+    require(np.abs(res) <= CONSTRAINT_TOL * np.maximum(1.0, xx), "coords are off the hyperboloid")
+    if kind == "tangent":
+        dd = _sq_rows(dirs)
+        ntol = CONSTRAINT_TOL * np.maximum(1.0, dd)
+        otol = CONSTRAINT_TOL * np.maximum(1.0, np.sqrt(xx * dd))
+        unit = np.abs(minkowski(dirs, dirs) - 1.0) <= ntol
+        require(unit & (np.abs(minkowski(coords, dirs)) <= otol), "dir is not unit tangent at base")
 
 
 def uniform_boundary_grid(n, x):
@@ -255,6 +297,20 @@ def measure_from_dict(data):
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed measure object: {exc}") from exc
     return DiscreteMeasure(kind, coords, weights, dirs)
+
+
+def write_atomic(path, text):
+    """Write text to path through a temporary file in the same directory, so
+    that readers see the old file or the whole new one, never a part."""
+    directory = os.path.dirname(path) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def save_measure(mu, path):

@@ -12,13 +12,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .hyperboloid import (
     BoundaryDirection,
     SpacePoint,
-    _point,
-    _tangent,
+    _point_rows,
+    _tangent_rows,
     boundary_endpoint,
     boundary_geodesic,
     busemann,
@@ -88,6 +87,12 @@ class BoundaryMap:
     def dim(self):
         return self.matrix.shape[0] - 1
 
+    @functools.cached_property
+    def gate_deviation(self):
+        """Cross-ratio deviation on the probe quadruples.  The map is frozen
+        and its arrays are read-only, so it is computed once per map."""
+        return cross_ratio_deviation(self, probe_quadruples(self.dim))
+
     @classmethod
     def identity(cls, dim=2):
         return cls("lorentz", np.eye(dim + 1))
@@ -116,6 +121,8 @@ class BoundaryMap:
         """Inverse evaluation; exact for the matrix, root-found for the warp."""
         c = xi.coords
         if self.warp is not None:
+            from scipy.optimize import brentq
+
             target = math.atan2(c[2], c[1])
             amp = float(np.sum(np.abs(self.warp)))
 
@@ -214,7 +221,7 @@ def cross_ratio_deviation(f, quadruples):
 def _require_moebius(f, context):
     if f is None:
         return
-    dev = cross_ratio_deviation(f, probe_quadruples(f.dim))
+    dev = f.gate_deviation
     if dev > MOEBIUS_GATE:
         raise ValueError(
             f"{context} needs a Moebius map; cross-ratio deviation {dev:.3e} "
@@ -330,6 +337,8 @@ def geodesic_conjugacy(f, u):
     unique point where the conformal derivative of the pushed metric
     against the local visual metric equals 1 in the forward direction.
     """
+    from scipy.optimize import brentq
+
     _require_moebius(f, "geodesic conjugacy")
     xi_back = boundary_endpoint(flip(u))
     xi_fwd = boundary_endpoint(u)
@@ -380,7 +389,8 @@ def _geodesic_rows(back, fwd, s):
 
 
 def conjugacy_footpoints(f, x, grid):
-    """Conjugated tangents of x -> xi over a boundary grid, in grid order.
+    """The tangent measure of the conjugated tangents of x -> xi over a
+    boundary grid, in grid order and with the grid's weights.
 
     Uses the exact linearity of the log-derivative along the target
     geodesic: its value at the standard parametrization's origin IS the
@@ -390,7 +400,9 @@ def conjugacy_footpoints(f, x, grid):
     evaluated with one observer per row, at the origins and then at the
     roots.  Each row is checked against the derivative condition to
     DERIV_CONDITION_TOL, and a row that fails it falls back to the
-    bracketed root find of geodesic_conjugacy.
+    bracketed root find of geodesic_conjugacy.  The rows are re-projected
+    onto the constraint surfaces as _point and _tangent would, and the
+    measure validates them all at once.
     """
     _require_moebius(f, "geodesic conjugacy")
     rays_fwd = grid.coords
@@ -414,13 +426,12 @@ def conjugacy_footpoints(f, x, grid):
     bases, tangents = _geodesic_rows(fB, fF, log_derivative(y0))
     # written so that a NaN row fails the check too
     passed = np.abs(log_derivative(bases)) <= DERIV_CONDITION_TOL
-    out = []
-    for i in range(len(grid)):
-        if passed[i]:
-            out.append(_tangent(_point(bases[i]), tangents[i]))
-        else:
-            out.append(geodesic_conjugacy(f, direction_to(x, grid.atom(i))))
-    return out
+    bases = _point_rows(bases)
+    tangents = _tangent_rows(bases, tangents)
+    for i in np.flatnonzero(~passed):
+        u = geodesic_conjugacy(f, direction_to(x, grid.atom(i)))
+        bases[i], tangents[i] = u.base.coords, u.dir
+    return DiscreteMeasure("tangent", bases, grid.weights, tangents)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from horobary import extension
 from horobary.hyperboloid import (
     BoundaryDirection,
+    ModelConfig,
     SpacePoint,
     UnitTangent,
     busemann,
@@ -121,6 +123,20 @@ class TestConformalWeight:
             w_id = conformal_weight(ctx_id, x, apply_matrix(ginv, z), xi)
             assert abs(w - w_id) < 1e-9
 
+    def test_all_atoms_at_once_match_per_atom_busemann(self):
+        # the per-atom loop over typed objects is the reference; the
+        # arithmetic is the same, so the values must agree bit for bit
+        ctx = lorentz_ctx(11, n=32)
+        x = point_at([0.3, 0.9], 1.4)
+        z = point_at([-0.8, 0.2], 0.5)
+        foots = conjugated_measure(ctx, x)
+        images = ctx.f.apply_rays(ctx.base_measure.coords)
+        expected = [
+            busemann(z, SpacePoint(foots.coords[i]), BoundaryDirection(images[i]))
+            for i in range(len(foots))
+        ]
+        assert extension._conformal_weights(ctx, x, z).tolist() == expected
+
     def test_cross_check_against_metric_derivative(self):
         ctx = lorentz_ctx(9, n=8)
         x = point_at([0.9, 0.2], 0.6)
@@ -162,6 +178,26 @@ class TestPExtension:
         res = extension_result(ctx, point_at([1.0, 1.0], 0.9), 32.0)
         assert res.converged
         assert res.grad_norm < 1e-10
+
+    def test_far_dim3_point_rejects_steps_off_the_sheet(self):
+        # the first Newton step from this point has length ~17 and reaches
+        # height ~1e8, where -<c, c> loses its sign to rounding; the line
+        # search must shorten it instead of raising a math domain error
+        g = random_lorentz(np.random.default_rng([4, 0]), dim=3)
+        ctx = ExtensionContext(
+            BoundaryMap("lorentz", g), uniform_boundary_grid(256, origin(3)), ModelConfig(3)
+        )
+        rng = np.random.default_rng([4, 1])
+        for _ in range(10):
+            x = random_space_point(rng, dim=3, radius=3.0)
+        res = extension_result(ctx, x, 1.0)
+        assert res.converged
+        # at p = 1 the minimizer is the normalized weighted sum of ray_i / c_i
+        nu = conjugated_measure(ctx, x)
+        rays = nu.coords + nu.dirs
+        c = -np.array([minkowski(a, b) for a, b in zip(nu.coords, rays)])
+        s = nu.weights @ (rays / c[:, None])
+        assert dist(res.minimizer, SpacePoint(s / math.sqrt(-minkowski(s, s)))) < 1e-9
 
 
 # ---------------------------------------------------------------------------

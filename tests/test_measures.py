@@ -3,6 +3,8 @@ import pytest
 
 from horobary.hyperboloid import (
     BoundaryDirection,
+    SpacePoint,
+    UnitTangent,
     boundary_endpoint,
     dist,
     geodesic_flow,
@@ -35,6 +37,108 @@ def test_measure_validation():
         DiscreteMeasure("nonsense", [o.coords], [1.0])
     with pytest.raises(ValueError):
         DiscreteMeasure("tangent", [o.coords], [1.0])  # missing dirs
+    with pytest.raises(ValueError):
+        DiscreteMeasure("space", [o.coords, o.coords], [np.nan, 1.0])
+
+
+def _raises(build):
+    try:
+        build()
+    except ValueError:
+        return True
+    return False
+
+
+def _hyperbola(s):
+    # the point at spatial offset s along the first axis, and the unit
+    # tangent there along the same axis
+    c = np.sqrt(1.0 + s * s)
+    return np.array([c, s, 0.0]), np.array([s, c, 0.0])
+
+
+_NEAR, _NEAR_DIR = _hyperbola(1.2)
+_FAR, _FAR_DIR = _hyperbola(1e6)
+
+# (row, rejected): each case is checked against the typed constructor too
+SPACE_ROWS = [
+    (_NEAR, False),
+    (_NEAR * (1.0 + 1e-13), False),
+    (_NEAR * (1.0 + 1e-6), True),  # off the hyperboloid
+    (-_NEAR, True),  # lower sheet: x0 < 0
+    (np.array([0.0, 1.0, 0.0]), True),  # x0 = 0
+    # near x0 = 1e6 the tolerance is relative to x @ x ~ 2e12
+    (_FAR, False),
+    (_FAR + [0.0, 1e-6, 0.0], False),
+    (_FAR + [0.0, 1e-3, 0.0], True),
+]
+BOUNDARY_ROWS = [
+    (np.array([1.0, 0.6, 0.8]), False),
+    (np.array([3.0, 1.8, 2.4]), False),  # any positive multiple of a ray
+    (np.array([1.0, 1.0 + 1e-11, 0.0]), False),
+    (np.array([1.0, 1.001, 0.0]), True),  # off the null cone
+    (np.array([-1.0, 0.6, 0.8]), True),  # past-pointing
+    (np.array([0.0, 0.6, 0.8]), True),
+    (np.array([1e6, 1e6 + 1e-6, 0.0]), False),
+    (np.array([1e6, 1e6 + 1e-3, 0.0]), True),
+]
+TANGENT_ROWS = [
+    ((_NEAR, _NEAR_DIR), False),
+    ((_NEAR, np.array([0.0, 0.0, 1.0])), False),
+    ((_NEAR, _NEAR_DIR * (1.0 + 1e-6)), True),  # not unit
+    ((_NEAR, _NEAR_DIR + 1e-6 * _NEAR), True),  # not orthogonal to the base
+    ((_NEAR * (1.0 + 1e-6), _NEAR_DIR), True),  # base off the hyperboloid
+    ((-_NEAR, -_NEAR_DIR), True),  # base on the lower sheet
+    ((_FAR, _FAR_DIR), False),
+    # near x0 = 1e6 both tolerances are relative to d @ d ~ 2e12
+    ((_FAR, _FAR_DIR + [0.0, 0.0, 1.0]), False),
+    ((_FAR, _FAR_DIR + [0.0, 0.0, 100.0]), True),  # <d,d> - 1 = 1e4
+    ((_FAR, _FAR_DIR + [1e-5, 0.0, 0.0]), False),
+    ((_FAR, _FAR_DIR + [1e-3, 0.0, 0.0]), True),  # <x,d> = -1e3
+]
+
+
+def _tangent_measure(rows):
+    coords = np.stack([r[0] for r in rows])
+    dirs = np.stack([r[1] for r in rows])
+    return DiscreteMeasure("tangent", coords, np.full(len(rows), 1.0 / len(rows)), dirs)
+
+
+@pytest.mark.parametrize(
+    "kind, typed, row, rejected",
+    [("space", SpacePoint, r, b) for r, b in SPACE_ROWS]
+    + [("boundary", BoundaryDirection, r, b) for r, b in BOUNDARY_ROWS],
+)
+def test_rowwise_validation_matches_typed_constructor(kind, typed, row, rejected):
+    good = SPACE_ROWS[0][0] if kind == "space" else BOUNDARY_ROWS[0][0]
+    assert _raises(lambda: typed(row)) == rejected
+    # the offending row sits behind a valid one
+    assert _raises(lambda: DiscreteMeasure(kind, [good, row], [0.5, 0.5])) == rejected
+
+
+@pytest.mark.parametrize("row, rejected", TANGENT_ROWS)
+def test_rowwise_tangent_validation_matches_typed_constructor(row, rejected):
+    assert _raises(lambda: UnitTangent(SpacePoint(row[0]), row[1])) == rejected
+    assert _raises(lambda: _tangent_measure([TANGENT_ROWS[0][0], row])) == rejected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("col", [0, 1])
+def test_rowwise_validation_rejects_non_finite(bad, col):
+    # stricter than the typed constructors, which accept NaN rows
+    def spoil(row):
+        row = row.copy()
+        row[col] = bad
+        return row
+
+    good_ray = BOUNDARY_ROWS[0][0]
+    with pytest.raises(ValueError, match="atom 1"):
+        DiscreteMeasure("space", [_NEAR, spoil(_NEAR)], [0.5, 0.5])
+    with pytest.raises(ValueError, match="atom 1"):
+        DiscreteMeasure("boundary", [good_ray, spoil(good_ray)], [0.5, 0.5])
+    with pytest.raises(ValueError, match="atom 1"):
+        _tangent_measure([(_NEAR, _NEAR_DIR), (spoil(_NEAR), _NEAR_DIR)])
+    with pytest.raises(ValueError, match="atom 1"):
+        _tangent_measure([(_NEAR, _NEAR_DIR), (_NEAR, spoil(_NEAR_DIR))])
 
 
 def test_from_atoms_uniform_weights():

@@ -398,10 +398,12 @@ class TestConjugacy:
             x = random_space_point(rng, dim=f.dim)
             grid = uniform_boundary_grid(64, x)
             foots = conjugacy_footpoints(f, x, grid)
-            assert len(foots) == len(grid)
+            assert foots.kind == "tangent" and len(foots) == len(grid)
+            assert np.array_equal(foots.weights, grid.weights)
             # every row is solved by the batched pass, not the fallback
             assert not fallbacks
-            for i, w in enumerate(foots):
+            for i in range(len(grid)):
+                w = foots.atom(i)
                 v = geodesic_conjugacy(f, direction_to(x, grid.atom(i)))
                 assert np.max(np.abs(w.base.coords - v.base.coords)) < 1e-9
                 assert np.max(np.abs(w.dir - v.dir)) < 1e-9
@@ -418,7 +420,7 @@ class TestConjugacy:
         monkeypatch.setattr(moebius, "DERIV_CONDITION_TOL", -1.0)
         foots = conjugacy_footpoints(f, x, grid)
         assert len(fallbacks) == len(grid)
-        for w, v in zip(foots, expected):
+        for w, v in zip(foots.atoms, expected):
             assert np.max(np.abs(w.base.coords - v.base.coords)) < 1e-9
             assert np.max(np.abs(w.dir - v.dir)) < 1e-9
 
@@ -426,6 +428,28 @@ class TestConjugacy:
         rng = np.random.default_rng(36)
         with pytest.raises(ValueError, match="cross-ratio deviation"):
             geodesic_conjugacy(warp_map(0.1), random_unit_tangent(rng))
+
+    def test_gate_deviation_computed_once_per_map(self, monkeypatch):
+        calls = []
+
+        def counted(f, quadruples):
+            calls.append(f)
+            return cross_ratio_deviation(f, quadruples)
+
+        monkeypatch.setattr(moebius, "cross_ratio_deviation", counted)
+        rng = np.random.default_rng(38)
+        f = lorentz_map(66)
+        x = random_space_point(rng)
+        grid = uniform_boundary_grid(16, x)
+        for _ in range(3):
+            conjugacy_footpoints(f, x, grid)
+        assert calls == [f]
+        # the gate itself still runs on every call
+        warped = warp_map(0.1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="cross-ratio deviation"):
+                conjugacy_footpoints(warped, x, grid)
+        assert calls == [f, warped]
 
 
 # ---------------------------------------------------------------------------
