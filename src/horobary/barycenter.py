@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hyperboloid import SpacePoint, dist, exp_map, minkowski, tangent_basis
-from .measures import DiscreteMeasure, write_atomic
+from .measures import DiscreteMeasure, fmt17, write_atomic
 
 COSH_MODE = "cosh-distance"
 BUSEMANN_MODE = "exp-busemann"
@@ -101,8 +101,7 @@ def _atom_kernel(spec):
         return mu.coords, np.zeros(len(mu)), logw
     rays = _tangent_rays(mu)
     # B(z, y_i, xi_i) = log(-<z, ray_i>) - log(-<y_i, ray_i>)
-    base_pairing = mu.coords[:, 0] * rays[:, 0] - (mu.coords[:, 1:] * rays[:, 1:]).sum(1)
-    return rays, -np.log(base_pairing), logw
+    return rays, -np.log(-minkowski(mu.coords, rays)), logw
 
 
 def _pairings(A, z):
@@ -354,20 +353,15 @@ class ExperimentTable:
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)
         writer.writerow(self.header())
-        for row in self.rows:
-            param, coords, distance, grad_norm, iterations = row
-            writer.writerow(
-                [_fmt(param)]
-                + [_fmt(c) for c in coords]
-                + [_fmt(distance), _fmt(grad_norm), str(iterations)]
-            )
+        for param, coords, distance, grad_norm, iterations in self.rows:
+            writer.writerow(fmt17(v) for v in (param, *coords, distance, grad_norm, iterations))
         write_atomic(path, buf.getvalue())
 
 
-def _fmt(v):
-    if isinstance(v, int):
-        return str(v)
-    return f"{float(v):.17g}"
+def _limit_row(param, res, limit):
+    # one ExperimentTable row: the solve at param against the limit point
+    z = res.minimizer
+    return float(param), tuple(z.coords), dist(z, limit), res.grad_norm, res.iterations
 
 
 def flow_limit_experiment(nu, p, t_schedule, cfg=None):
@@ -378,34 +372,18 @@ def flow_limit_experiment(nu, p, t_schedule, cfg=None):
     limit = asymptotic_p_barycenter(nu, p, cfg)
     table = ExperimentTable(parameter="t")
     for t in t_schedule:
-        mu_t = flow_project(nu, float(t))
-        res = minimize(ObjectiveSpec(p, COSH_MODE, mu_t), cfg)
-        table.rows.append(
-            (
-                float(t),
-                tuple(res.minimizer.coords),
-                dist(res.minimizer, limit),
-                res.grad_norm,
-                res.iterations,
-            )
-        )
+        res = minimize(ObjectiveSpec(p, COSH_MODE, flow_project(nu, float(t))), cfg)
+        table.rows.append(_limit_row(t, res, limit))
     return table
 
 
 def p_limit_experiment(nu, p_schedule=CONTINUATION_PS, cfg=None):
     """Track asymptotic p-barycenters toward the asymptotic circumcenter;
     the final row is the p = infinity minimizer itself."""
-    limit = asymptotic_circumcenter(nu, cfg)
+    limit = minimize(ObjectiveSpec(math.inf, BUSEMANN_MODE, nu), cfg)
     table = ExperimentTable(parameter="p")
-    for p in list(p_schedule) + [math.inf]:
+    for p in p_schedule:
         res = minimize(ObjectiveSpec(float(p), BUSEMANN_MODE, nu), cfg)
-        table.rows.append(
-            (
-                float(p),
-                tuple(res.minimizer.coords),
-                dist(res.minimizer, limit),
-                res.grad_norm,
-                res.iterations,
-            )
-        )
+        table.rows.append(_limit_row(p, res, limit.minimizer))
+    table.rows.append(_limit_row(math.inf, limit, limit.minimizer))
     return table

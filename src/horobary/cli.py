@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +36,14 @@ from .extension import (
     mu_x_p,
 )
 from .hyperboloid import ModelConfig, SpacePoint, dist, exp_map, origin, tangent_basis
-from .measures import load_measure, pushforward_qx, uniform_boundary_grid, write_atomic
+from .measures import (
+    DiscreteMeasure,
+    fmt17,
+    measure_from_dict,
+    pushforward_qx,
+    uniform_boundary_grid,
+    write_atomic,
+)
 from .moebius import BoundaryMap, cross_ratio_deviation, map_from_dict, probe_quadruples
 from .sampling import random_lorentz, random_space_point
 
@@ -89,12 +95,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be strictly increasing")
         if not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer")
-
-
-@dataclass(frozen=True)
-class Runtime:
-    threads: int = 1
-    tolerance_scale: float = 1.0
 
 
 CONFIG_KEYS = {"command", "model", "inputs", "seed", "grid_n", "p_schedule", "t_schedule", "out"}
@@ -176,7 +176,7 @@ def _clean(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.17g}")
+        return float(fmt17(obj))
     if isinstance(obj, np.ndarray):
         return [_clean(v) for v in obj.tolist()]
     return obj
@@ -187,18 +187,25 @@ def _write_json(path, obj):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        return fmt17(v)
+
+    lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _cell(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
+def _suite(name, violations, tolerance, scale):
+    tol = tolerance * scale
+    worst = max(violations)
+    return {
+        "audit": name,
+        "pairs": len(violations),
+        "max_violation": worst,
+        "tolerance": tol,
+        "pass": worst <= tol,
+    }
 
 
 def _scaled(report, scale):
@@ -216,16 +223,21 @@ def _input_measure(cfg):
     path = cfg.inputs.get("measure")
     if path is None:
         return None
-    return _as_measure(_load_json(path), path)
-
-
-def _as_measure(data, path):
-    from .measures import measure_from_dict
-
     try:
-        return measure_from_dict(data)
+        return measure_from_dict(_load_json(path))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}")
+
+
+def _measure_or_random_points(cfg):
+    # the input measure, or five seeded random points with equal weights
+    mu = _input_measure(cfg)
+    if mu is None:
+        (rng,) = _case_rngs(cfg, 1)
+        mu = DiscreteMeasure.from_atoms(
+            [random_space_point(rng, dim=cfg.model.dim) for _ in range(5)]
+        )
+    return mu
 
 
 def _input_map(cfg):
@@ -270,14 +282,8 @@ def _dump_failure(cfg, payload):
 # ---------------------------------------------------------------------------
 # commands
 
-def _run_barycenter(cfg, rt):
-    mu = _input_measure(cfg)
-    if mu is None:
-        (rng,) = _case_rngs(cfg, 1)
-        pts = [random_space_point(rng, dim=cfg.model.dim) for _ in range(5)]
-        from .measures import DiscreteMeasure
-
-        mu = DiscreteMeasure.from_atoms(pts)
+def _run_barycenter(cfg, scale):
+    mu = _measure_or_random_points(cfg)
     schedule = [p for p in cfg.p_schedule if math.isfinite(p)]
     rows = []
     for p in schedule:
@@ -302,14 +308,8 @@ def _run_barycenter(cfg, rt):
     return EXIT_OK
 
 
-def _run_circumcenter(cfg, rt):
-    mu = _input_measure(cfg)
-    if mu is None:
-        (rng,) = _case_rngs(cfg, 1)
-        pts = [random_space_point(rng, dim=cfg.model.dim) for _ in range(5)]
-        from .measures import DiscreteMeasure
-
-        mu = DiscreteMeasure.from_atoms(pts)
+def _run_circumcenter(cfg, scale):
+    mu = _measure_or_random_points(cfg)
     mode = BUSEMANN_MODE if mu.kind == "tangent" else COSH_MODE
     res = minimize(ObjectiveSpec(math.inf, mode, mu))
     if not res.converged:
@@ -331,7 +331,7 @@ def _run_circumcenter(cfg, rt):
     return EXIT_OK
 
 
-def _run_extend(cfg, rt):
+def _run_extend(cfg, scale):
     f = _input_map(cfg)
     if f is None:
         raise ConfigError("extend needs an input boundary map under inputs.map")
@@ -340,14 +340,9 @@ def _run_extend(cfg, rt):
         (rng,) = _case_rngs(cfg, 1)
         points = [random_space_point(rng, dim=cfg.model.dim) for _ in range(10)]
     ctx = ExtensionContext(f, uniform_boundary_grid(cfg.grid_n, origin(cfg.model.dim)), cfg.model)
-
-    def solve(x):
-        return extension_result(ctx, x, math.inf)
-
-    with ThreadPoolExecutor(max_workers=rt.threads) as ex:
-        results = list(ex.map(solve, points))
     rows = []
-    for i, (x, res) in enumerate(zip(points, results)):
+    for i, x in enumerate(points):
+        res = extension_result(ctx, x, math.inf)
         if not res.converged:
             return _dump_failure(cfg, {"case": i, "point": list(x.coords), "grad_norm": res.grad_norm})
         rows.append((i, *x.coords, *res.minimizer.coords, res.grad_norm))
@@ -373,7 +368,7 @@ def _run_extend(cfg, rt):
     return EXIT_OK
 
 
-def _run_converge_p(cfg, rt):
+def _run_converge_p(cfg, scale):
     nu = _input_measure(cfg)
     if nu is None:
         nu = _symmetric_tangent_measure(cfg)
@@ -383,7 +378,7 @@ def _run_converge_p(cfg, rt):
     table = p_limit_experiment(nu, schedule)
     table.write_csv(os.path.join(cfg.out, "converge_p.csv"))
     final = table.rows[-2][2] if len(table.rows) >= 2 else 0.0
-    tol = CONVERGENCE_TOL * rt.tolerance_scale
+    tol = CONVERGENCE_TOL * scale
     ok = final <= tol
     _write_json(
         os.path.join(cfg.out, "converge_p.json"),
@@ -400,7 +395,7 @@ def _run_converge_p(cfg, rt):
     return EXIT_OK if ok else EXIT_NONCONVERGENCE
 
 
-def _run_converge_flow(cfg, rt):
+def _run_converge_flow(cfg, scale):
     nu = _input_measure(cfg)
     if nu is None:
         nu = _symmetric_tangent_measure(cfg)
@@ -410,7 +405,7 @@ def _run_converge_flow(cfg, rt):
     table = flow_limit_experiment(nu, p, list(cfg.t_schedule))
     table.write_csv(os.path.join(cfg.out, "converge_flow.csv"))
     distances = [row[2] for row in table.rows]
-    tol = CONVERGENCE_TOL * rt.tolerance_scale
+    tol = CONVERGENCE_TOL * scale
     ok = distances[-1] <= tol
     tail_monotone = all(b <= a + 1e-12 for a, b in zip(distances[-3:], distances[-2:]))
     _write_json(
@@ -438,7 +433,7 @@ def _random_pair_ctx(cfg, rng):
     return ExtensionContext(BoundaryMap("lorentz", g), grid, cfg.model), g
 
 
-def _gate_suite(cfg, rt):
+def _gate_suite():
     warped = BoundaryMap("perturbed", np.eye(3), np.array([0.1]))
     deviation = cross_ratio_deviation(warped, probe_quadruples())
     try:
@@ -457,96 +452,54 @@ def _gate_suite(cfg, rt):
     }
 
 
-def _balance_suite(cfg, rt, cases, n_cases=8):
-    def one(case):
-        _, rep = mu_x_p(case["ctx"], case["x"], 64.0)
-        return rep.residual
-
-    with ThreadPoolExecutor(max_workers=rt.threads) as ex:
-        residuals = list(ex.map(one, cases[:n_cases]))
-    return {
-        "audit": "balance",
-        "pairs": len(residuals),
-        "max_violation": max(residuals),
-        "tolerance": 1e-8 * rt.tolerance_scale,
-        "pass": max(residuals) <= 1e-8 * rt.tolerance_scale,
-    }
+def _balance_suite(cases, scale):
+    residuals = [mu_x_p(case["ctx"], case["x"], 64.0)[1].residual for case in cases]
+    return _suite("balance", residuals, 1e-8, scale)
 
 
-def _hull_suite(cfg, rt, cases, n_cases=8):
-    def one(case):
-        ctx, x = case["ctx"], case["x"]
-        y = circumcenter_extension(ctx, x)
-        cert = hull_certificate(argmax_set(ctx, x, y))
-        bad = cert.min_norm
-        off = exp_map(y, 0.5 * tangent_basis(y)[0])
-        aset = argmax_set(ctx, x, off)
-        cert_off = hull_certificate(aset)
-        if cert_off.feasible or cert_off.separator is None:
-            return math.inf
-        dots = [
-            -row[0] * cert_off.separator[0] + row[1:] @ cert_off.separator[1:]
-            for row in aset.image_dirs
-        ]
-        if min(dots) <= 0.0:
-            return math.inf
-        return bad
-
-    with ThreadPoolExecutor(max_workers=rt.threads) as ex:
-        violations = list(ex.map(one, cases[:n_cases]))
-    return {
-        "audit": "hull-certificate",
-        "pairs": len(violations),
-        "max_violation": max(violations),
-        "tolerance": 1e-9 * rt.tolerance_scale,
-        "pass": max(violations) <= 1e-9 * rt.tolerance_scale,
-    }
+def _hull_violation(case):
+    ctx, x, y = case["ctx"], case["x"], case["image"]
+    bad = hull_certificate(argmax_set(ctx, x, y)).min_norm
+    off = exp_map(y, 0.5 * tangent_basis(y)[0])
+    aset = argmax_set(ctx, x, off)
+    cert_off = hull_certificate(aset)
+    if cert_off.feasible or cert_off.separator is None:
+        return math.inf
+    dots = [
+        -row[0] * cert_off.separator[0] + row[1:] @ cert_off.separator[1:]
+        for row in aset.image_dirs
+    ]
+    if min(dots) <= 0.0:
+        return math.inf
+    return bad
 
 
-def _naturality_suite(cfg, rt, cases, n_cases=8):
-    def one(case):
-        ctx, g, x = case["ctx"], case["g"], case["x"]
-        return dist(circumcenter_extension(ctx, x), SpacePoint(g @ x.coords))
-
-    with ThreadPoolExecutor(max_workers=rt.threads) as ex:
-        errs = list(ex.map(one, cases[:n_cases]))
-    return {
-        "audit": "naturality",
-        "pairs": len(errs),
-        "max_violation": max(errs),
-        "tolerance": NATURALITY_TOL * rt.tolerance_scale,
-        "pass": max(errs) <= NATURALITY_TOL * rt.tolerance_scale,
-    }
+def _hull_suite(cases, scale):
+    return _suite("hull-certificate", [_hull_violation(case) for case in cases], 1e-9, scale)
 
 
-def _derivative_suite(cfg, rt, cases):
-    jobs = []
-    for p in (4.0, 16.0, 64.0):
-        for case in cases[:2]:
-            jobs.append((case, p))
-
-    def one(job):
-        case, p = job
-        v = tangent_basis(case["x"])[0]
-        return derivative_identity_residual(case["ctx"], case["x"], v, p)
-
-    with ThreadPoolExecutor(max_workers=rt.threads) as ex:
-        residuals = list(ex.map(one, jobs))
-    return {
-        "audit": "derivative-identity",
-        "pairs": len(residuals),
-        "max_violation": max(residuals),
-        "tolerance": 1e-4 * rt.tolerance_scale,
-        "pass": max(residuals) <= 1e-4 * rt.tolerance_scale,
-    }
+def _naturality_suite(cases, scale):
+    errs = [dist(case["image"], SpacePoint(case["g"] @ case["x"].coords)) for case in cases]
+    return _suite("naturality", errs, NATURALITY_TOL, scale)
 
 
-def _invariant_suites(cfg, rt, pair_count=8):
+def _derivative_suite(cases, scale):
+    residuals = [
+        derivative_identity_residual(case["ctx"], case["x"], tangent_basis(case["x"])[0], p)
+        for p in (4.0, 16.0, 64.0)
+        for case in cases[:2]
+    ]
+    return _suite("derivative-identity", residuals, 1e-4, scale)
+
+
+def _invariant_suites(cfg, scale, pair_count=8):
     rngs = _case_rngs(cfg, pair_count + 2)
     cases = []
     for rng in rngs[:pair_count]:
         ctx, g = _random_pair_ctx(cfg, rng)
-        cases.append({"ctx": ctx, "g": g, "x": random_space_point(rng, dim=cfg.model.dim)})
+        x = random_space_point(rng, dim=cfg.model.dim)
+        # the hull and naturality suites share one solve per case
+        cases.append({"ctx": ctx, "g": g, "x": x, "image": circumcenter_extension(ctx, x)})
     pair_rng = rngs[pair_count]
     shared_ctx, shared_g = _random_pair_ctx(cfg, rngs[pair_count + 1])
     # the displacement identity behind the inequality audit is exact only up
@@ -565,45 +518,27 @@ def _invariant_suites(cfg, rt, pair_count=8):
         uniform_boundary_grid(cfg.grid_n, go),
         cfg.model,
     )
-    suites = [
-        _gate_suite(cfg, rt),
-        _balance_suite(cfg, rt, cases),
-        _hull_suite(cfg, rt, cases),
-        _naturality_suite(cfg, rt, cases),
-        _derivative_suite(cfg, rt, cases),
-        _scaled(main_inequality_audit(shared_ctx, pairs, 64.0), rt.tolerance_scale),
-        _scaled(lipschitz_audit(shared_ctx, pairs), rt.tolerance_scale),
-        _scaled(
-            inverse_consistency(shared_ctx, back, [x for x, _ in pairs]),
-            rt.tolerance_scale,
-        ),
+    return [
+        _gate_suite(),
+        _balance_suite(cases, scale),
+        _hull_suite(cases, scale),
+        _naturality_suite(cases, scale),
+        _derivative_suite(cases, scale),
+        _scaled(main_inequality_audit(shared_ctx, pairs, 64.0), scale),
+        _scaled(lipschitz_audit(shared_ctx, pairs), scale),
+        _scaled(inverse_consistency(shared_ctx, back, [x for x, _ in pairs]), scale),
     ]
-    return suites
 
 
-def _run_audit(cfg, rt):
-    suites = _invariant_suites(cfg, rt)
+def _run_battery(cfg, scale):
+    """audit and verify: the same suites, written to <command>.json; verify
+    leaves out the per-pair rows."""
+    suites = _invariant_suites(cfg, scale)
+    if cfg.command == "verify":
+        suites = [{k: v for k, v in s.items() if k != "rows"} for s in suites]
     ok = all(s["pass"] for s in suites)
     _write_json(
-        os.path.join(cfg.out, "audit.json"),
-        {
-            "command": cfg.command,
-            "config_hash": _config_hash(cfg),
-            "seed": cfg.seed,
-            "suites": suites,
-            "pass": ok,
-        },
-    )
-    return EXIT_OK if ok else 1
-
-
-def _run_verify(cfg, rt):
-    suites = [
-        {k: v for k, v in s.items() if k != "rows"} for s in _invariant_suites(cfg, rt)
-    ]
-    ok = all(s["pass"] for s in suites)
-    _write_json(
-        os.path.join(cfg.out, "verify.json"),
+        os.path.join(cfg.out, f"{cfg.command}.json"),
         {
             "command": cfg.command,
             "config_hash": _config_hash(cfg),
@@ -621,15 +556,15 @@ RUNNERS = {
     "extend": _run_extend,
     "converge-p": _run_converge_p,
     "converge-flow": _run_converge_flow,
-    "audit": _run_audit,
-    "verify": _run_verify,
+    "audit": _run_battery,
+    "verify": _run_battery,
 }
 
 
-def run(cfg, rt=Runtime()):
+def run(cfg, tolerance_scale=1.0):
     """Execute one configured run; returns the process exit status."""
     os.makedirs(cfg.out, exist_ok=True)
-    return RUNNERS[cfg.command](cfg, rt)
+    return RUNNERS[cfg.command](cfg, tolerance_scale)
 
 
 def main(argv=None):
@@ -642,18 +577,15 @@ def main(argv=None):
     parser.add_argument("--out", help="report directory (default: reports)")
     parser.add_argument("--seed", type=int, help="seed for random cases")
     parser.add_argument("--grid", type=int, help="base grid size")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
     parser.add_argument(
         "--tolerance-scale", type=float, default=1.0, help="multiply audit tolerances"
     )
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be positive")
     if args.tolerance_scale <= 0:
         parser.error("--tolerance-scale must be positive")
     try:
         cfg = _config_from_sources(args)
-        code = run(cfg, Runtime(args.threads, args.tolerance_scale))
+        code = run(cfg, args.tolerance_scale)
     except ConfigError as exc:
         print(f"horobary: {exc}", file=sys.stderr)
         return EXIT_CONFIG

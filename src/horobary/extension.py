@@ -18,6 +18,8 @@ from .barycenter import (
     CONTINUATION_PS,
     ObjectiveSpec,
     SolverConfig,
+    _lse,
+    _pairings,
     minimize,
 )
 from .hyperboloid import (
@@ -138,21 +140,14 @@ def _conformal_weights(ctx, x, z):
     return np.log(_pairing(images, z.coords) / _pairing(images, foots))
 
 
-def _image_dirs(ctx, z, rays=None):
+def _dirs_to(z, rays):
+    # unit tangents z -> ray, one row per ray
+    return rays / _pairings(rays, z.coords)[:, None] - z.coords[None, :]
+
+
+def _image_dirs(ctx, z):
     # unit tangents z -> f(atom), one row per atom
-    images = ctx.f.apply_rays(ctx.base_measure.coords if rays is None else rays)
-    pz = images[:, 0] * z.coords[0] - images[:, 1:] @ z.coords[1:]
-    return images / pz[:, None] - z.coords[None, :]
-
-
-def _source_dirs(ctx, x):
-    rays = ctx.base_measure.coords
-    px = rays[:, 0] * x.coords[0] - rays[:, 1:] @ x.coords[1:]
-    return rays / px[:, None] - x.coords[None, :]
-
-
-def _minkowski_rows(A, B):
-    return -A[:, 0] * B[:, 0] + np.sum(A[:, 1:] * B[:, 1:], axis=1)
+    return _dirs_to(z, ctx.f.apply_rays(ctx.base_measure.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +198,7 @@ def mu_x_p(ctx, x, p):
     res = extension_result(ctx, x, p)
     z = res.minimizer
     logits = np.log(ctx.base_measure.weights) + p * _conformal_weights(ctx, x, z)
-    logc = _logsumexp(logits)
+    logc = _lse(logits)
     weights = np.exp(logits - logc)
     weights = weights / weights.sum()
     measure = DiscreteMeasure("boundary", ctx.base_measure.coords, weights)
@@ -213,19 +208,11 @@ def mu_x_p(ctx, x, p):
     return measure, BalanceReport(z, residual, float(logc))
 
 
-def _logsumexp(a):
-    m = float(np.max(a))
-    return m + math.log(float(np.sum(np.exp(a - m))))
-
-
 def balance_residual(nu, z):
     """Norm of the nu-weighted sum of unit tangents z -> atom."""
     if nu.kind != "boundary":
         raise ValueError("balance is defined for boundary measures")
-    rays = nu.coords
-    pz = rays[:, 0] * z.coords[0] - rays[:, 1:] @ z.coords[1:]
-    dirs = rays / pz[:, None] - z.coords[None, :]
-    r = nu.weights @ dirs
+    r = nu.weights @ _dirs_to(z, nu.coords)
     return math.sqrt(max(minkowski(r, r), 0.0))
 
 
@@ -319,11 +306,16 @@ def extension_differential(ctx, x, v, p, h=1e-3):
     Returns the base value F_p(x) and DF_p(v) transported to its tangent
     space by the logarithm map.
     """
-    v = np.asarray(v, float)
     base = extension_result(ctx, x, p).minimizer
+    return base, _central_difference(ctx, x, v, p, h, base)
+
+
+def _central_difference(ctx, x, v, p, h, base):
+    # DF_p(v) at x, transported to the tangent space of base = F_p(x)
+    v = np.asarray(v, float)
     plus = p_extension(ctx, exp_map(x, h * v), p)
     minus = p_extension(ctx, exp_map(x, -h * v), p)
-    return base, (log_map(base, plus) - log_map(base, minus)) / (2.0 * h)
+    return (log_map(base, plus) - log_map(base, minus)) / (2.0 * h)
 
 
 def derivative_identity_residual(ctx, x, v, p, h=1e-3):
@@ -335,14 +327,13 @@ def derivative_identity_residual(ctx, x, v, p, h=1e-3):
     """
     if not (1e-4 <= h <= 1e-2):
         raise ValueError("step h must lie in [1e-4, 1e-2]")
-    base, du = extension_differential(ctx, x, v, p, h)
-    measure, _ = mu_x_p(ctx, x, p)
+    measure, report = mu_x_p(ctx, x, p)
+    base = report.point
+    du = _central_difference(ctx, x, v, p, h, base)
     w = measure.weights
-    dirs = _image_dirs(ctx, base)
-    edirs = _source_dirs(ctx, x)
     du_norm2 = minkowski(du, du)
-    du_dot = _minkowski_rows(dirs, np.broadcast_to(du, dirs.shape))
-    v_dot = _minkowski_rows(edirs, np.broadcast_to(np.asarray(v, float), edirs.shape))
+    du_dot = minkowski(_image_dirs(ctx, base), du)
+    v_dot = minkowski(_dirs_to(x, ctx.base_measure.coords), v)
     hess = du_norm2 - du_dot**2
     lhs = float(w @ hess + p * w @ du_dot**2)
     rhs = float(p * w @ (du_dot * v_dot))
@@ -371,9 +362,9 @@ def main_inequality_audit(ctx, pairs, p, b=None):
     rows = []
     worst = -math.inf
     for x, y in pairs:
-        fx = extension_result(ctx, x, p).minimizer
+        measure, report = mu_x_p(ctx, x, p)
+        fx = report.point
         fy = extension_result(ctx, y, p).minimizer
-        measure, _ = mu_x_p(ctx, x, p)
         bus = np.log(_pairing(images, fy.coords) / _pairing(images, fx.coords))
         d = dist(fx, fy)
         upper = float(measure.weights @ np.exp(bus))

@@ -271,16 +271,23 @@ def _same_atom(mu, i, j, tol):
 # JSON interchange.  All reals are written with 17 significant digits so a
 # round trip reproduces the doubles bit for bit.
 
-def _fmt(v):
-    return float(f"{float(v):.17g}")
+def fmt17(v):
+    """A real as text with 17 significant digits, which reads back as the
+    same double; integers are written as integers."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{float(v):.17g}"
 
 
 def measure_to_dict(mu):
     out = []
     for i in range(len(mu)):
-        atom = {"coords": [_fmt(c) for c in mu.coords[i]], "weight": _fmt(mu.weights[i])}
+        atom = {
+            "coords": [float(fmt17(c)) for c in mu.coords[i]],
+            "weight": float(fmt17(mu.weights[i])),
+        }
         if mu.dirs is not None:
-            atom["dir"] = [_fmt(c) for c in mu.dirs[i]]
+            atom["dir"] = [float(fmt17(c)) for c in mu.dirs[i]]
         out.append(atom)
     return {"kind": mu.kind, "atoms": out}
 

@@ -27,7 +27,7 @@ from .hyperboloid import (
     minkowski,
     origin,
 )
-from .measures import DiscreteMeasure, uniform_boundary_grid
+from .measures import DiscreteMeasure, fmt17, uniform_boundary_grid
 
 LORENTZ_TOL = 1e-10
 MOEBIUS_GATE = 1e-6
@@ -234,7 +234,6 @@ def _require_moebius(f, context):
 
 @functools.lru_cache(maxsize=None)
 def _probe_rays(dim):
-    # read-only (DiscreteMeasure freezes its coords), so threads may share it
     return uniform_boundary_grid(8, origin(dim)).coords
 
 
@@ -504,10 +503,10 @@ def nearest_visual_projection(rho, cfg=None, grid_n=360):
 def map_to_dict(f):
     out = {
         "variant": f.variant,
-        "matrix": [[float(f"{v:.17g}") for v in row] for row in f.matrix],
+        "matrix": [[float(fmt17(v)) for v in row] for row in f.matrix],
     }
     if f.warp is not None:
-        out["warp"] = {"type": "fourier", "coeffs": [float(f"{v:.17g}") for v in f.warp]}
+        out["warp"] = {"type": "fourier", "coeffs": [float(fmt17(v)) for v in f.warp]}
     return out
 
 

@@ -3,10 +3,12 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from horobary import extension
 from horobary.cli import main
 from horobary.hyperboloid import UnitTangent, origin, tangent_basis
 from horobary.measures import DiscreteMeasure, save_measure
@@ -202,7 +204,7 @@ class TestVerify:
         b = tmp_path / "b"
         c = tmp_path / "c"
         assert main(["verify", "--seed", "4", "--out", str(a)]) == 0
-        assert main(["verify", "--seed", "4", "--threads", "2", "--out", str(b)]) == 0
+        assert main(["verify", "--seed", "4", "--out", str(b)]) == 0
         assert main(["verify", "--seed", "5", "--out", str(c)]) == 0
         bytes_a = (a / "verify.json").read_bytes()
         assert bytes_a == (b / "verify.json").read_bytes()
@@ -221,3 +223,17 @@ class TestVerify:
             "inverse-consistency",
         }
         assert all("rows" not in s for s in report["suites"])
+
+    def test_verify_solves_each_point_once(self, tmp_path, monkeypatch):
+        # hull and naturality share one p = inf solve per case, and the
+        # inequality and derivative audits take x's solve from mu_x_p
+        solves = Counter()
+        solve = extension.extension_result
+
+        def counted(ctx, x, p):
+            solves[p] += 1
+            return solve(ctx, x, p)
+
+        monkeypatch.setattr(extension, "extension_result", counted)
+        assert main(["verify", "--seed", "4", "--out", str(tmp_path)]) == 0
+        assert solves == {math.inf: 40, 64.0: 30, 4.0: 6, 16.0: 6}
