@@ -36,7 +36,6 @@ from .hyperboloid import (
 from .measures import DiscreteMeasure
 from .moebius import (
     BoundaryMap,
-    _pairing,
     _require_moebius,
     conjugacy_footpoints,
     geodesic_conjugacy,
@@ -137,7 +136,7 @@ def _conformal_weights(ctx, x, z):
     B(z, y_i, f(xi_i)) with y_i the conjugated footpoint of x -> xi_i."""
     images = ctx.f.apply_rays(ctx.base_measure.coords)
     foots = conjugacy_footpoints(ctx.f, x, ctx.base_measure).coords
-    return np.log(_pairing(images, z.coords) / _pairing(images, foots))
+    return np.log(minkowski(images, z.coords) / minkowski(images, foots))
 
 
 def _dirs_to(z, rays):
@@ -184,8 +183,10 @@ def circumcenter_extension(ctx, x):
     covers the boundary as seen from x.  A grid that leaves an angular gap
     wider than a half turn around the would-be center lets the discrete
     objective dip below its continuum value and pulls the minimizer into the
-    gap; grids of 64 points or more keep points within distance three of the
-    grid's basepoint safe.
+    gap.  In dimension 2, grids of 64 points keep points within distance
+    three of the grid's basepoint safe.  In dimension 3 they do not: at 64
+    points, points from about distance two on can miss while still reporting
+    convergence, and finer grids of 128 and 256 points only make it rarer.
     """
     return extension_result(ctx, x, math.inf).minimizer
 
@@ -365,7 +366,7 @@ def main_inequality_audit(ctx, pairs, p, b=None):
         measure, report = mu_x_p(ctx, x, p)
         fx = report.point
         fy = extension_result(ctx, y, p).minimizer
-        bus = np.log(_pairing(images, fy.coords) / _pairing(images, fx.coords))
+        bus = np.log(minkowski(images, fy.coords) / minkowski(images, fx.coords))
         d = dist(fx, fy)
         upper = float(measure.weights @ np.exp(bus))
         lower = float(measure.weights @ np.exp(b * bus))

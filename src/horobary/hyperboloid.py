@@ -183,6 +183,12 @@ def _point_rows(c: np.ndarray) -> np.ndarray:
     return c
 
 
+def _direction_rows(x: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """direction_to from one point to every row of an (m, n+1) array of
+    rays, as raw directions; validation as in _point_rows."""
+    return rays / -minkowski(x, rays)[:, None] - x
+
+
 def _tangent_rows(x: np.ndarray, d: np.ndarray) -> np.ndarray:
     """_tangent on every row pair of two (m, n+1) arrays of base points and
     directions, returning new directions; validation as in _point_rows."""

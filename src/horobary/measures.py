@@ -19,8 +19,8 @@ from .hyperboloid import (
     BoundaryDirection,
     SpacePoint,
     UnitTangent,
+    _direction_rows,
     _sq_rows,
-    direction_to,
     minkowski,
     tangent_basis,
 )
@@ -203,10 +203,11 @@ def _sphere_grid(n, dim):
 
 
 def pushforward_qx(mu, x):
-    """Transport a boundary measure to unit tangents at x via direction_to."""
+    """Transport a boundary measure to unit tangents at x via direction_to,
+    all atoms at once."""
     if mu.kind != "boundary":
         raise ValueError("pushforward_qx expects a boundary measure")
-    dirs = np.stack([direction_to(x, mu.atom(i)).dir for i in range(len(mu))])
+    dirs = _direction_rows(x.coords, mu.coords)
     coords = np.broadcast_to(x.coords, dirs.shape).copy()
     return DiscreteMeasure("tangent", coords, mu.weights.copy(), dirs)
 

@@ -16,13 +16,13 @@ import numpy as np
 from .hyperboloid import (
     BoundaryDirection,
     SpacePoint,
+    UnitTangent,
+    _direction_rows,
     _point_rows,
     _tangent_rows,
     boundary_endpoint,
-    boundary_geodesic,
     busemann,
     cross_ratio,
-    direction_to,
     flip,
     minkowski,
     origin,
@@ -168,11 +168,6 @@ class MoebiusMetric:
         return self.f.inverse_rays(rays)
 
 
-def _pairing(rays, x):
-    """-<ray, x> along the last axis; x is one point or one point per ray."""
-    return rays[..., 0] * x[..., 0] - np.sum(rays[..., 1:] * x[..., 1:], axis=-1)
-
-
 def _chord(rays_a, rays_b):
     # half the squared spatial chord: -<a, b> for rays normalized to a
     # leading 1, and exactly zero on identical rays
@@ -190,7 +185,7 @@ def metric_eval(rho, xi, eta):
 def _eval_pairs(rho, rays_a, rays_b):
     # visual metric of rho.x on paired rows of the preimage rays
     a, b, x = rho._preimage_rays(rays_a), rho._preimage_rays(rays_b), rho.x.coords
-    return np.sqrt(_chord(a, b) / (2.0 * _pairing(a, x) * _pairing(b, x)))
+    return np.sqrt(_chord(a, b) / (2.0 * minkowski(a, x) * minkowski(b, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +249,8 @@ class _ProbeFrame:
         x is one point or one point per ray; for one point the probe table
         is a broadcast view along the last axis.
         """
-        qr = _pairing(self.rays, x)
-        qp = _pairing(self.probes[:, None], x)
+        qr = -minkowski(self.rays, x)
+        qp = -minkowski(self.probes[:, None], x)
         ray_probe = np.sqrt(self.ray_chords / (2.0 * qr * qp))
         probe_probe = np.sqrt(self.probe_chords / (2.0 * qp[:, None] * qp[None, :]))
         return ray_probe, np.broadcast_to(probe_probe, probe_probe.shape[:2] + qr.shape)
@@ -302,14 +297,6 @@ def metric_derivative(rho2, rho1, xi):
     return float(_derivative_on_rays(rho2, rho1, xi.coords[None, :])[0])
 
 
-def _dM_on_rays(rho1, rho2, rays):
-    if rho1.is_visual and rho2.is_visual:
-        logd = np.log(_rho_pairs_derivative_visual(rho1.x, rho2.x, rays))
-    else:
-        logd = np.log(_derivative_on_rays(rho2, rho1, rays))
-    return float(np.max(np.abs(logd)))
-
-
 def dM_distance(rho1, rho2, grid):
     """Grid-sampled sup of |log d(rho2)/d(rho1)|; the reported value grows
     monotonically under grid refinement."""
@@ -318,66 +305,20 @@ def dM_distance(rho1, rho2, grid):
         raise ValueError("d_M needs a non-empty grid")
     _require_moebius(rho1.f, "d_M")
     _require_moebius(rho2.f, "d_M")
-    return _dM_on_rays(rho1, rho2, rays)
+    if rho1.is_visual and rho2.is_visual:
+        logd = np.log(_rho_pairs_derivative_visual(rho1.x, rho2.x, rays))
+    else:
+        logd = np.log(_derivative_on_rays(rho2, rho1, rays))
+    return float(np.max(np.abs(logd)))
 
 
 def _rho_pairs_derivative_visual(x, y, rays):
     # e^{B(x, y, xi)} rowwise: the pairing ratio needs no probe points
-    return _pairing(rays, x.coords) / _pairing(rays, y.coords)
+    return minkowski(rays, x.coords) / minkowski(rays, y.coords)
 
 
 # ---------------------------------------------------------------------------
 # geodesic conjugacy
-
-def geodesic_conjugacy(f, u):
-    """Carry a unit tangent through the boundary map.
-
-    The image lies on the geodesic between the mapped endpoints, at the
-    unique point where the conformal derivative of the pushed metric
-    against the local visual metric equals 1 in the forward direction.
-    """
-    from scipy.optimize import brentq
-
-    _require_moebius(f, "geodesic conjugacy")
-    xi_back = boundary_endpoint(flip(u))
-    xi_fwd = boundary_endpoint(u)
-    f_back = f(xi_back)
-    f_fwd = f(xi_fwd)
-    pushed = MoebiusMetric(u.base, f)
-    ray_fwd = f_fwd.coords[None, :]
-
-    def h(s):
-        y = boundary_geodesic(f_back, f_fwd, s).base
-        return float(np.log(_derivative_on_rays(pushed, MoebiusMetric(y), ray_fwd)[0]))
-
-    # |root| is at most d_M(pushed metric, visual at s = 0); seed the
-    # bracket with a coarse grid estimate of it and expand until the sign
-    # changes, in case the grid undershot the sup
-    y0 = boundary_geodesic(f_back, f_fwd, 0.0).base
-    bound = 1.0 + _dM_on_rays(
-        pushed, MoebiusMetric(y0), uniform_boundary_grid(96, origin(u.dim)).coords
-    )
-    lo, hi = -bound, bound
-    flo, fhi = h(lo), h(hi)
-    for _ in range(60):
-        if flo >= 0.0 >= fhi:
-            break
-        lo, hi = 2 * lo, 2 * hi
-        flo, fhi = h(lo), h(hi)
-    else:
-        raise ValueError(
-            "no sign change while bracketing the derivative condition: "
-            f"h({lo:g}) = {flo:g}, h({hi:g}) = {fhi:g}"
-        )
-    # h is strictly decreasing with slope -1, so the bracket is clean
-    s = brentq(h, lo, hi, xtol=1e-13)
-    return boundary_geodesic(f_back, f_fwd, s)
-
-
-def conjugacy_map(f):
-    """The conjugacy as a plain callable on unit tangents."""
-    return lambda u: geodesic_conjugacy(f, u)
-
 
 def _geodesic_rows(back, fwd, s):
     # boundary_geodesic row by row: base points and directions at arclength
@@ -387,32 +328,21 @@ def _geodesic_rows(back, fwd, s):
     return (em * back + ep * fwd) / r, (ep * fwd - em * back) / r
 
 
-def conjugacy_footpoints(f, x, grid):
-    """The tangent measure of the conjugated tangents of x -> xi over a
-    boundary grid, in grid order and with the grid's weights.
+def _conjugate_rows(f, x, back, fwd):
+    """Conjugated tangents of the geodesics back[i] -> fwd[i] through the
+    observer x, as re-projected base points and directions, one row each.
 
-    Uses the exact linearity of the log-derivative along the target
-    geodesic: its value at the standard parametrization's origin IS the
-    arclength of the root.  One array pass serves the whole grid: the
-    probe rays, the preimages of f(grid) and of the probes, and the pushed
-    metric's separations are computed once per call; the visual side is
-    evaluated with one observer per row, at the origins and then at the
-    roots.  Each row is checked against the derivative condition to
-    DERIV_CONDITION_TOL, and a row that fails it falls back to the
-    bracketed root find of geodesic_conjugacy.  The rows are re-projected
-    onto the constraint surfaces as _point and _tangent would, and the
-    measure validates them all at once.
+    Row i lies on the geodesic from f(back[i]) to f(fwd[i]) at the
+    arclength s where h(s), the log-derivative of the pushed metric of x
+    against the visual metric of the base point, vanishes at f(fwd[i]).
+    h has slope exactly -1 in the standard parametrization, so s = h(0).
+    The pushed metric's separations are computed once for all rows and the
+    visual side with one observer per row.  A row whose residual h(s)
+    exceeds DERIV_CONDITION_TOL takes one more step s + h(s); a row that
+    still fails raises ValueError.
     """
     _require_moebius(f, "geodesic conjugacy")
-    rays_fwd = grid.coords
-    # backward endpoints of the rays x -> xi
-    px = _pairing(rays_fwd, x.coords)
-    dirs = rays_fwd / px[:, None] - x.coords[None, :]
-    back = x.coords[None, :] - dirs
-    back = back / back[:, :1]
-    # same cancellation as in boundary_endpoint: restore the null cone
-    back[:, 1:] /= np.linalg.norm(back[:, 1:], axis=1, keepdims=True)
-    fF = f.apply_rays(rays_fwd)
+    fF = f.apply_rays(fwd)
     fB = f.apply_rays(back)
     probes = _probe_rays(x.dim)
     pushed = _metric_separations(MoebiusMetric(x, f), fF, probes)
@@ -421,15 +351,57 @@ def conjugacy_footpoints(f, x, grid):
     def log_derivative(observers):
         return np.log(_derivative_from_separations(pushed, visual.separations(observers)))
 
-    y0, _ = _geodesic_rows(fB, fF, np.zeros(len(grid)))
-    bases, tangents = _geodesic_rows(fB, fF, log_derivative(y0))
+    y0, _ = _geodesic_rows(fB, fF, np.zeros(len(fF)))
+    s = log_derivative(y0)
+    bases, tangents = _geodesic_rows(fB, fF, s)
+    residual = log_derivative(bases)
     # written so that a NaN row fails the check too
-    passed = np.abs(log_derivative(bases)) <= DERIV_CONDITION_TOL
+    redo = ~(np.abs(residual) <= DERIV_CONDITION_TOL)
+    if redo.any():
+        again, tangents_again = _geodesic_rows(fB, fF, s + residual)
+        bases[redo], tangents[redo] = again[redo], tangents_again[redo]
+        residual = log_derivative(bases)
+        failed = np.flatnonzero(~(np.abs(residual) <= DERIV_CONDITION_TOL))
+        if failed.size:
+            i = failed[0]
+            raise ValueError(
+                f"geodesic conjugacy: row {i} misses the derivative condition by "
+                f"{residual[i]:.3e} after the correction step "
+                f"(tolerance {DERIV_CONDITION_TOL:g})"
+            )
     bases = _point_rows(bases)
-    tangents = _tangent_rows(bases, tangents)
-    for i in np.flatnonzero(~passed):
-        u = geodesic_conjugacy(f, direction_to(x, grid.atom(i)))
-        bases[i], tangents[i] = u.base.coords, u.dir
+    return bases, _tangent_rows(bases, tangents)
+
+
+def geodesic_conjugacy(f, u):
+    """Carry a unit tangent through the boundary map.
+
+    The image lies on the geodesic between the mapped endpoints, at the
+    unique point where the conformal derivative of the pushed metric of
+    u.base against the local visual metric equals 1 in the forward
+    direction.  This is the one-row case of conjugacy_footpoints.
+    """
+    back = boundary_endpoint(flip(u)).coords[None, :]
+    fwd = boundary_endpoint(u).coords[None, :]
+    bases, tangents = _conjugate_rows(f, u.base, back, fwd)
+    return UnitTangent(SpacePoint(bases[0]), tangents[0])
+
+
+def conjugacy_footpoints(f, x, grid):
+    """The tangent measure of the conjugated tangents of x -> xi over a
+    boundary grid, in grid order and with the grid's weights.
+
+    The backward endpoints of the rays x -> xi are built from the grid in
+    one array pass, and all rows are conjugated at once as in
+    geodesic_conjugacy; the measure validates the rows all at once.
+    """
+    rays_fwd = grid.coords
+    # backward endpoints of the rays x -> xi
+    back = x.coords - _direction_rows(x.coords, rays_fwd)
+    back = back / back[:, :1]
+    # same cancellation as in boundary_endpoint: restore the null cone
+    back[:, 1:] /= np.linalg.norm(back[:, 1:], axis=1, keepdims=True)
+    bases, tangents = _conjugate_rows(f, x, back, rays_fwd)
     return DiscreteMeasure("tangent", bases, grid.weights, tangents)
 
 

@@ -77,8 +77,3 @@ def random_lorentz(
     a = rng.uniform(-rotation, rotation, size=(n, n))
     g[1:, 1:] = a - a.T
     return expm(g)
-
-
-def random_rotation(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Lorentz matrix fixing the origin (pure spatial rotation)."""
-    return random_lorentz(rng, dim, boost=0.0)

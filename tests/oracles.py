@@ -11,11 +11,15 @@ from scipy.special import logsumexp
 
 from horobary.hyperboloid import (
     SpacePoint,
+    boundary_endpoint,
+    boundary_geodesic,
     direction_to,
     dist,
     exp_map,
+    flip,
     origin,
 )
+from horobary.moebius import MoebiusMetric, metric_derivative
 
 RADIAL_T = 20.0
 
@@ -67,6 +71,35 @@ def cross_ratio_limit(xi, xip, eta, etap, t=RADIAL_T, anchor=None):
     return np.exp(
         0.5 * (_raw_dist(a, b) + _raw_dist(ap, bp) - _raw_dist(a, bp) - _raw_dist(ap, b))
     )
+
+
+def bracketed_conjugacy(f, u):
+    """Conjugated tangent of u under f by a bracketed root find.
+
+    Solves the defining condition -- the derivative of the pushed metric of
+    u.base against the visual metric of the base point equals 1 at the
+    forward image -- along the image geodesic with brentq, doubling the
+    bracket until the sign changes.  Unlike the library it assumes nothing
+    about the slope of the log-derivative.
+    """
+    from scipy.optimize import brentq
+
+    f_back = f(boundary_endpoint(flip(u)))
+    f_fwd = f(boundary_endpoint(u))
+    pushed = MoebiusMetric(u.base, f)
+
+    def h(s):
+        y = boundary_geodesic(f_back, f_fwd, s).base
+        return float(np.log(metric_derivative(pushed, MoebiusMetric(y), f_fwd)))
+
+    lo, hi = -1.0, 1.0
+    for _ in range(60):
+        if h(lo) >= 0.0 >= h(hi):
+            break
+        lo, hi = 2 * lo, 2 * hi
+    else:
+        raise ValueError("no sign change while bracketing the derivative condition")
+    return boundary_geodesic(f_back, f_fwd, brentq(h, lo, hi, xtol=1e-13))
 
 
 def directional_derivative(f, z, w, h=1e-5):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +43,7 @@ from horobary.sampling import (
     random_space_point,
     random_unit_tangent,
 )
+from oracles import bracketed_conjugacy
 
 
 def lorentz_map(seed):
@@ -379,20 +383,19 @@ class TestConjugacy:
             assert np.max(np.abs(a.base.coords - b.base.coords)) < 1e-8
             assert np.max(np.abs(a.dir - b.dir)) < 1e-8
 
-    @staticmethod
-    def _count_fallbacks(monkeypatch):
-        calls = []
+    def test_single_conjugacy_matches_bracketed_oracle(self):
+        rng = np.random.default_rng(39)
+        for dim in (2, 3, 4):
+            f = BoundaryMap("lorentz", random_lorentz(rng, dim=dim))
+            for _ in range(5):
+                u = random_unit_tangent(rng, dim=dim)
+                v = geodesic_conjugacy(f, u)
+                w = bracketed_conjugacy(f, u)
+                assert np.max(np.abs(v.base.coords - w.base.coords)) < 1e-9
+                assert np.max(np.abs(v.dir - w.dir)) < 1e-9
 
-        def counted(f, u):
-            calls.append(u)
-            return geodesic_conjugacy(f, u)
-
-        monkeypatch.setattr(moebius, "geodesic_conjugacy", counted)
-        return calls
-
-    def test_footpoints_match_single_conjugacy(self, monkeypatch):
+    def test_footpoints_match_single_conjugacy(self):
         rng = np.random.default_rng(35)
-        fallbacks = self._count_fallbacks(monkeypatch)
         maps = (lorentz_map(64), BoundaryMap("lorentz", random_lorentz(rng, dim=3)))
         for f in maps:
             x = random_space_point(rng, dim=f.dim)
@@ -400,29 +403,73 @@ class TestConjugacy:
             foots = conjugacy_footpoints(f, x, grid)
             assert foots.kind == "tangent" and len(foots) == len(grid)
             assert np.array_equal(foots.weights, grid.weights)
-            # every row is solved by the batched pass, not the fallback
-            assert not fallbacks
             for i in range(len(grid)):
                 w = foots.atom(i)
-                v = geodesic_conjugacy(f, direction_to(x, grid.atom(i)))
-                assert np.max(np.abs(w.base.coords - v.base.coords)) < 1e-9
-                assert np.max(np.abs(w.dir - v.dir)) < 1e-9
+                u = direction_to(x, grid.atom(i))
+                for v in (geodesic_conjugacy(f, u), bracketed_conjugacy(f, u)):
+                    assert np.max(np.abs(w.base.coords - v.base.coords)) < 1e-9
+                    assert np.max(np.abs(w.dir - v.dir)) < 1e-9
 
-    def test_footpoints_fallback_matches_single_conjugacy(self, monkeypatch):
-        # a negative tolerance fails the derivative check on every row, so
-        # each footpoint must come from the bracketed root find
+    def test_footpoints_correction_step(self, monkeypatch):
+        # at a tolerance below the rounding floor some rows of this seeded
+        # case miss it after the exact step; the one correction step s + h(s)
+        # must bring every one of them within it, onto the oracle's answer
+        rng = np.random.default_rng(13)
+        f = BoundaryMap("lorentz", random_lorentz(rng))
+        x = random_space_point(rng)
+        grid = uniform_boundary_grid(16, x)
+        plain = conjugacy_footpoints(f, x, grid)
+        monkeypatch.setattr(moebius, "DERIV_CONDITION_TOL", 1e-13)
+        foots = conjugacy_footpoints(f, x, grid)
+        # the correction moved some rows, so it was taken
+        assert np.any(foots.coords != plain.coords)
+        for i, w in enumerate(foots.atoms):
+            v = bracketed_conjugacy(f, direction_to(x, grid.atom(i)))
+            assert np.max(np.abs(w.base.coords - v.base.coords)) < 1e-9
+            assert np.max(np.abs(w.dir - v.dir)) < 1e-9
+
+    def test_footpoints_raise_when_the_correction_fails(self, monkeypatch):
+        # a negative tolerance fails the derivative check on every row, even
+        # after the correction step
         rng = np.random.default_rng(37)
         f = lorentz_map(65)
         x = random_space_point(rng)
         grid = uniform_boundary_grid(16, x)
-        expected = [geodesic_conjugacy(f, direction_to(x, grid.atom(i))) for i in range(len(grid))]
-        fallbacks = self._count_fallbacks(monkeypatch)
         monkeypatch.setattr(moebius, "DERIV_CONDITION_TOL", -1.0)
-        foots = conjugacy_footpoints(f, x, grid)
-        assert len(fallbacks) == len(grid)
-        for w, v in zip(foots.atoms, expected):
-            assert np.max(np.abs(w.base.coords - v.base.coords)) < 1e-9
-            assert np.max(np.abs(w.dir - v.dir)) < 1e-9
+        with pytest.raises(ValueError, match="row 0 misses the derivative condition"):
+            conjugacy_footpoints(f, x, grid)
+        with pytest.raises(ValueError, match="misses the derivative condition"):
+            geodesic_conjugacy(f, direction_to(x, grid.atom(0)))
+
+    def test_conjugacy_path_leaves_scipy_optimize_unimported(self):
+        # the conjugacy and the finite-p extension need no scipy.optimize;
+        # a fresh interpreter shows whether anything on the path imports it
+        code = (
+            "import math, sys\n"
+            "import numpy as np\n"
+            "from horobary.extension import ExtensionContext, extension_result\n"
+            "from horobary.hyperboloid import direction_to\n"
+            "from horobary.measures import uniform_boundary_grid\n"
+            "from horobary.moebius import BoundaryMap, conjugacy_footpoints, geodesic_conjugacy\n"
+            "from horobary.sampling import random_lorentz, random_space_point\n"
+            "rng = np.random.default_rng(3)\n"
+            "f = BoundaryMap('lorentz', random_lorentz(rng))\n"
+            "x = random_space_point(rng)\n"
+            "grid = uniform_boundary_grid(64, x)\n"
+            "geodesic_conjugacy(f, direction_to(x, grid.atom(0)))\n"
+            "conjugacy_footpoints(f, x, grid)\n"
+            "ctx = ExtensionContext(f, grid)\n"
+            "assert extension_result(ctx, x, 2.0).converged\n"
+            "assert extension_result(ctx, x, math.inf).converged\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(moebius.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
     def test_non_moebius_map_rejected(self):
         rng = np.random.default_rng(36)
