@@ -29,6 +29,8 @@ BUSEMANN_MODE = "exp-busemann"
 
 EPS_ACTIVE = 1e-6       # active-set threshold for the minimax polish
 ARMIJO = 1e-4
+SLOPE_FLOOR = 1e-12     # a predicted decrease below this is lost to rounding
+                        # in energy values of order one
 STEP_CLAMP = 20.0       # keeps cosh of the step length in floating range
 ESCAPE_HEIGHT = 1e6     # iterate height where tangent arithmetic degrades;
                         # reached only when the energy is unbounded below
@@ -185,6 +187,10 @@ def _newton(A, const, logw, p, z, grad_tol, max_iters):
                 continue
             new_value = _objective_value(A, const, logw, p, z_new)
             if new_value <= value + ARMIJO * tau * slope:
+                break
+            if -slope <= SLOPE_FLOOR and math.isfinite(new_value):
+                # the value cannot resolve the decrease, so Armijo would pass
+                # only a step too short to move z: take the full Newton step
                 break
             tau *= 0.5
         else:

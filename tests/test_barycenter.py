@@ -150,6 +150,17 @@ def test_nonconvergence_is_flagged():
     assert res.iterations == 1
 
 
+def test_newton_does_not_stall_at_the_rounding_floor():
+    # on the symmetric dim-3 tangent measure, p >= 2048 leaves a gradient of
+    # about 1e-8 whose predicted decrease the energy value cannot resolve;
+    # the full Newton step must still be taken, not a step too short to move
+    nu = uniform_tangent_sphere(64, origin(3))
+    for p in (2048.0, 4096.0, 16384.0):
+        res = minimize(ObjectiveSpec(p, BUSEMANN_MODE, nu))
+        assert res.converged
+        assert res.iterations <= 20
+
+
 # ---------------------------------------------------------------------------
 # circumcenters
 

@@ -262,6 +262,16 @@ class TestReweightedMeasure:
             _, rep = mu_x_p(ctx, point_at([-0.8, 0.5], 1.4), p)
             assert rep.residual <= 1e-8
 
+    def test_balance_at_a_far_point_reaches_the_rounding_floor(self):
+        # a dim-2 case at radius 2.63 where the damped Newton solve at p = 64
+        # once stalled for 500 iterations at a gradient of 2.3e-7
+        rng = np.random.default_rng(np.random.SeedSequence(10033).spawn(3)[2])
+        ctx = ExtensionContext(BoundaryMap("lorentz", random_lorentz(rng)), uniform_boundary_grid(64, O))
+        x = random_space_point(rng)
+        res = extension_result(ctx, x, 64.0)
+        assert res.converged and res.iterations <= 20
+        assert mu_x_p(ctx, x, 64.0)[1].residual <= 1e-8
+
     def test_mass_concentrates_on_argmax_set(self):
         ctx = lorentz_ctx(31)
         x = point_at([0.3, 1.0], 1.1)
