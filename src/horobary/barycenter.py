@@ -13,8 +13,6 @@ metric - grad_i (x) grad_i, which makes damped Newton steps cheap and the
 p = infinity polish a small KKT solve.
 """
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -22,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hyperboloid import SpacePoint, dist, exp_map, minkowski, tangent_basis
-from .measures import DiscreteMeasure, fmt17, write_atomic
+from .measures import DiscreteMeasure, write_csv
 
 COSH_MODE = "cosh-distance"
 BUSEMANN_MODE = "exp-busemann"
@@ -355,13 +353,9 @@ class ExperimentTable:
         ]
 
     def write_csv(self, path):
-        """Write the table atomically; rows end in CRLF, as csv.writer ends them."""
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf)
-        writer.writerow(self.header())
-        for param, coords, distance, grad_norm, iterations in self.rows:
-            writer.writerow(fmt17(v) for v in (param, *coords, distance, grad_norm, iterations))
-        write_atomic(path, buf.getvalue())
+        """Write the table atomically; rows end in CRLF."""
+        rows = [(param, *coords, *rest) for param, coords, *rest in self.rows]
+        write_csv(path, self.header(), rows, newline="\r\n")
 
 
 def _limit_row(param, res, limit):

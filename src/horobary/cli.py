@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -38,11 +38,11 @@ from .extension import (
 from .hyperboloid import ModelConfig, SpacePoint, dist, exp_map, origin, tangent_basis
 from .measures import (
     DiscreteMeasure,
-    fmt17,
     measure_from_dict,
     pushforward_qx,
     uniform_boundary_grid,
     write_atomic,
+    write_csv,
 )
 from .moebius import BoundaryMap, cross_ratio_deviation, map_from_dict, probe_quadruples
 from .sampling import random_lorentz, random_space_point
@@ -97,7 +97,7 @@ class RunConfig:
             raise ConfigError("seed must be an integer")
 
 
-CONFIG_KEYS = {"command", "model", "inputs", "seed", "grid_n", "p_schedule", "t_schedule", "out"}
+CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _load_json(path):
@@ -150,15 +150,9 @@ def _config_from_sources(args):
 
 
 def _config_hash(cfg):
-    payload = {
-        "command": cfg.command,
-        "model": {"dim": cfg.model.dim, "b": cfg.model.b},
-        "inputs": cfg.inputs,
-        "seed": cfg.seed,
-        "grid_n": cfg.grid_n,
-        "p_schedule": list(cfg.p_schedule),
-        "t_schedule": list(cfg.t_schedule),
-    }
+    # where the reports go is not part of what was run
+    payload = asdict(cfg)
+    del payload["out"]
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -166,34 +160,23 @@ def _config_hash(cfg):
 # ---------------------------------------------------------------------------
 # report plumbing
 
-def _clean(obj):
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(fmt17(obj))
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
-    return obj
-
-
 def _write_json(path, obj):
-    write_atomic(path, json.dumps(_clean(obj), indent=2, sort_keys=True) + "\n")
+    # numpy scalars and arrays are written as the Python values they hold
+    text = json.dumps(obj, indent=2, sort_keys=True, default=lambda v: v.tolist())
+    write_atomic(path, text + "\n")
 
 
-def _write_csv(path, header, rows):
-    def cell(v):
-        if isinstance(v, (bool, np.bool_)):
-            return "true" if v else "false"
-        return fmt17(v)
+def _report(cfg, name, summary, header=None, rows=None):
+    """Write <name>.json, the run header plus the summary, and <name>.csv
+    when there is a table."""
+    if header is not None:
+        write_csv(os.path.join(cfg.out, f"{name}.csv"), header, rows)
+    run_header = {"command": cfg.command, "config_hash": _config_hash(cfg), "seed": cfg.seed}
+    _write_json(os.path.join(cfg.out, f"{name}.json"), {**run_header, **summary})
 
-    lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
-    write_atomic(path, "\n".join(lines) + "\n")
+
+def _columns(prefix, cfg):
+    return [f"{prefix}_{i}" for i in range(cfg.model.dim + 1)]
 
 
 def _suite(name, violations, tolerance, scale):
@@ -219,19 +202,31 @@ def _scaled(report, scale):
 # ---------------------------------------------------------------------------
 # shared inputs
 
-def _input_measure(cfg):
-    path = cfg.inputs.get("measure")
+def _input(cfg, key, parse):
+    """The input file named under inputs[key], read by parse; None when the
+    config names none."""
+    path = cfg.inputs.get(key)
     if path is None:
         return None
     try:
-        return measure_from_dict(_load_json(path))
+        return parse(_load_json(path))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}")
 
 
+def _points_from_dict(data):
+    rows = data.get("points") if isinstance(data, dict) else None
+    if rows is None:
+        raise ValueError("expected an object with a 'points' array")
+    try:
+        return [SpacePoint(np.array(row, float)) for row in rows]
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"bad point row: {exc}") from exc
+
+
 def _measure_or_random_points(cfg):
     # the input measure, or five seeded random points with equal weights
-    mu = _input_measure(cfg)
+    mu = _input(cfg, "measure", measure_from_dict)
     if mu is None:
         (rng,) = _case_rngs(cfg, 1)
         mu = DiscreteMeasure.from_atoms(
@@ -240,33 +235,15 @@ def _measure_or_random_points(cfg):
     return mu
 
 
-def _input_map(cfg):
-    path = cfg.inputs.get("map")
-    if path is None:
-        return None
-    try:
-        return map_from_dict(_load_json(path))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
-
-
-def _input_points(cfg):
-    path = cfg.inputs.get("points")
-    if path is None:
-        return None
-    data = _load_json(path)
-    rows = data.get("points") if isinstance(data, dict) else None
-    if rows is None:
-        raise ConfigError(f"{path}: expected an object with a 'points' array")
-    try:
-        return [SpacePoint(np.array(row, float)) for row in rows]
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: bad point row: {exc}")
-
-
-def _symmetric_tangent_measure(cfg):
-    o = origin(cfg.model.dim)
-    return pushforward_qx(uniform_boundary_grid(cfg.grid_n, o), o)
+def _tangent_input(cfg):
+    # the input measure, or the symmetric tangent measure at the origin
+    nu = _input(cfg, "measure", measure_from_dict)
+    if nu is None:
+        o = origin(cfg.model.dim)
+        nu = pushforward_qx(uniform_boundary_grid(cfg.grid_n, o), o)
+    if nu.kind != "tangent":
+        raise ConfigError(f"{cfg.command} needs a tangent measure")
+    return nu
 
 
 def _case_rngs(cfg, n):
@@ -291,20 +268,9 @@ def _run_barycenter(cfg, scale):
         if not res.converged:
             return _dump_failure(cfg, {"p": p, "grad_norm": res.grad_norm})
         rows.append((p, *res.minimizer.coords, res.value, res.grad_norm, res.iterations))
-    n = cfg.model.dim + 1
-    header = ["p"] + [f"coord_{i}" for i in range(n)] + ["value", "grad_norm", "iterations"]
-    _write_csv(os.path.join(cfg.out, "barycenter.csv"), header, rows)
-    _write_json(
-        os.path.join(cfg.out, "barycenter.json"),
-        {
-            "command": cfg.command,
-            "config_hash": _config_hash(cfg),
-            "seed": cfg.seed,
-            "atoms": len(mu),
-            "schedule": schedule,
-            "pass": True,
-        },
-    )
+    header = ["p", *_columns("coord", cfg), "value", "grad_norm", "iterations"]
+    summary = {"atoms": len(mu), "schedule": schedule, "pass": True}
+    _report(cfg, "barycenter", summary, header, rows)
     return EXIT_OK
 
 
@@ -314,28 +280,17 @@ def _run_circumcenter(cfg, scale):
     res = minimize(ObjectiveSpec(math.inf, mode, mu))
     if not res.converged:
         return _dump_failure(cfg, {"grad_norm": res.grad_norm})
-    n = cfg.model.dim + 1
-    header = [f"coord_{i}" for i in range(n)] + ["value", "grad_norm", "iterations"]
+    header = [*_columns("coord", cfg), "value", "grad_norm", "iterations"]
     rows = [(*res.minimizer.coords, res.value, res.grad_norm, res.iterations)]
-    _write_csv(os.path.join(cfg.out, "circumcenter.csv"), header, rows)
-    _write_json(
-        os.path.join(cfg.out, "circumcenter.json"),
-        {
-            "command": cfg.command,
-            "config_hash": _config_hash(cfg),
-            "seed": cfg.seed,
-            "atoms": len(mu),
-            "pass": True,
-        },
-    )
+    _report(cfg, "circumcenter", {"atoms": len(mu), "pass": True}, header, rows)
     return EXIT_OK
 
 
 def _run_extend(cfg, scale):
-    f = _input_map(cfg)
+    f = _input(cfg, "map", map_from_dict)
     if f is None:
         raise ConfigError("extend needs an input boundary map under inputs.map")
-    points = _input_points(cfg)
+    points = _input(cfg, "points", _points_from_dict)
     if points is None:
         (rng,) = _case_rngs(cfg, 1)
         points = [random_space_point(rng, dim=cfg.model.dim) for _ in range(10)]
@@ -346,61 +301,27 @@ def _run_extend(cfg, scale):
         if not res.converged:
             return _dump_failure(cfg, {"case": i, "point": list(x.coords), "grad_norm": res.grad_norm})
         rows.append((i, *x.coords, *res.minimizer.coords, res.grad_norm))
-    n = cfg.model.dim + 1
-    header = (
-        ["case"]
-        + [f"x_{i}" for i in range(n)]
-        + [f"image_{i}" for i in range(n)]
-        + ["grad_norm"]
-    )
-    _write_csv(os.path.join(cfg.out, "extend.csv"), header, rows)
-    _write_json(
-        os.path.join(cfg.out, "extend.json"),
-        {
-            "command": cfg.command,
-            "config_hash": _config_hash(cfg),
-            "seed": cfg.seed,
-            "cases": len(points),
-            "grid_n": cfg.grid_n,
-            "pass": True,
-        },
-    )
+    header = ["case", *_columns("x", cfg), *_columns("image", cfg), "grad_norm"]
+    summary = {"cases": len(points), "grid_n": cfg.grid_n, "pass": True}
+    _report(cfg, "extend", summary, header, rows)
     return EXIT_OK
 
 
 def _run_converge_p(cfg, scale):
-    nu = _input_measure(cfg)
-    if nu is None:
-        nu = _symmetric_tangent_measure(cfg)
-    if nu.kind != "tangent":
-        raise ConfigError("converge-p needs a tangent measure")
+    nu = _tangent_input(cfg)
     schedule = [p for p in cfg.p_schedule if math.isfinite(p)]
     table = p_limit_experiment(nu, schedule)
     table.write_csv(os.path.join(cfg.out, "converge_p.csv"))
     final = table.rows[-2][2] if len(table.rows) >= 2 else 0.0
     tol = CONVERGENCE_TOL * scale
     ok = final <= tol
-    _write_json(
-        os.path.join(cfg.out, "converge_p.json"),
-        {
-            "command": cfg.command,
-            "config_hash": _config_hash(cfg),
-            "seed": cfg.seed,
-            "schedule": schedule,
-            "final_distance": final,
-            "tolerance": tol,
-            "pass": ok,
-        },
-    )
+    summary = {"schedule": schedule, "final_distance": final, "tolerance": tol, "pass": ok}
+    _report(cfg, "converge_p", summary)
     return EXIT_OK if ok else EXIT_NONCONVERGENCE
 
 
 def _run_converge_flow(cfg, scale):
-    nu = _input_measure(cfg)
-    if nu is None:
-        nu = _symmetric_tangent_measure(cfg)
-    if nu.kind != "tangent":
-        raise ConfigError("converge-flow needs a tangent measure")
+    nu = _tangent_input(cfg)
     p = next((q for q in cfg.p_schedule if math.isfinite(q)), 2.0)
     table = flow_limit_experiment(nu, p, list(cfg.t_schedule))
     table.write_csv(os.path.join(cfg.out, "converge_flow.csv"))
@@ -408,19 +329,14 @@ def _run_converge_flow(cfg, scale):
     tol = CONVERGENCE_TOL * scale
     ok = distances[-1] <= tol
     tail_monotone = all(b <= a + 1e-12 for a, b in zip(distances[-3:], distances[-2:]))
-    _write_json(
-        os.path.join(cfg.out, "converge_flow.json"),
-        {
-            "command": cfg.command,
-            "config_hash": _config_hash(cfg),
-            "seed": cfg.seed,
-            "p": p,
-            "final_distance": distances[-1],
-            "tail_monotone": tail_monotone,
-            "tolerance": tol,
-            "pass": ok,
-        },
-    )
+    summary = {
+        "p": p,
+        "final_distance": distances[-1],
+        "tail_monotone": tail_monotone,
+        "tolerance": tol,
+        "pass": ok,
+    }
+    _report(cfg, "converge_flow", summary)
     return EXIT_OK if ok else EXIT_NONCONVERGENCE
 
 
@@ -537,16 +453,7 @@ def _run_battery(cfg, scale):
     if cfg.command == "verify":
         suites = [{k: v for k, v in s.items() if k != "rows"} for s in suites]
     ok = all(s["pass"] for s in suites)
-    _write_json(
-        os.path.join(cfg.out, f"{cfg.command}.json"),
-        {
-            "command": cfg.command,
-            "config_hash": _config_hash(cfg),
-            "seed": cfg.seed,
-            "suites": suites,
-            "pass": ok,
-        },
-    )
+    _report(cfg, cfg.command, {"suites": suites, "pass": ok})
     return EXIT_OK if ok else 1
 
 

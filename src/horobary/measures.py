@@ -269,8 +269,8 @@ def _same_atom(mu, i, j, tol):
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange.  All reals are written with 17 significant digits so a
-# round trip reproduces the doubles bit for bit.
+# Interchange and reports.  CSV cells carry 17 significant digits; JSON
+# numbers are Python's shortest repr.  Both read back as the same doubles.
 
 def fmt17(v):
     """A real as text with 17 significant digits, which reads back as the
@@ -283,12 +283,9 @@ def fmt17(v):
 def measure_to_dict(mu):
     out = []
     for i in range(len(mu)):
-        atom = {
-            "coords": [float(fmt17(c)) for c in mu.coords[i]],
-            "weight": float(fmt17(mu.weights[i])),
-        }
+        atom = {"coords": mu.coords[i].tolist(), "weight": float(mu.weights[i])}
         if mu.dirs is not None:
-            atom["dir"] = [float(fmt17(c)) for c in mu.dirs[i]]
+            atom["dir"] = mu.dirs[i].tolist()
         out.append(atom)
     return {"kind": mu.kind, "atoms": out}
 
@@ -319,6 +316,19 @@ def write_atomic(path, text):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_csv(path, header, rows, newline="\n"):
+    """Write a header line and one line per row atomically, each ending in
+    newline.  Bools are written as true/false, every other cell with fmt17."""
+
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        return fmt17(v)
+
+    lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
+    write_atomic(path, newline.join(lines) + newline)
 
 
 def save_measure(mu, path):

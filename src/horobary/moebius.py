@@ -27,7 +27,7 @@ from .hyperboloid import (
     minkowski,
     origin,
 )
-from .measures import DiscreteMeasure, fmt17, uniform_boundary_grid
+from .measures import DiscreteMeasure, uniform_boundary_grid
 
 LORENTZ_TOL = 1e-10
 MOEBIUS_GATE = 1e-6
@@ -475,10 +475,10 @@ def nearest_visual_projection(rho, cfg=None, grid_n=360):
 def map_to_dict(f):
     out = {
         "variant": f.variant,
-        "matrix": [[float(fmt17(v)) for v in row] for row in f.matrix],
+        "matrix": f.matrix.tolist(),
     }
     if f.warp is not None:
-        out["warp"] = {"type": "fourier", "coeffs": [float(fmt17(v)) for v in f.warp]}
+        out["warp"] = {"type": "fourier", "coeffs": f.warp.tolist()}
     return out
 
 

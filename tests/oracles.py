@@ -6,6 +6,8 @@ force on the Poincare disk -- never through the closed forms under test.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.special import logsumexp
 
@@ -129,12 +131,18 @@ def from_disk(q) -> SpacePoint:
     return SpacePoint(np.concatenate(([(1.0 + s)], 2.0 * q)) / (1.0 - s))
 
 
-def disk_distance(grid, q):
-    """Hyperbolic distance from each grid row to the disk point q."""
+def disk_distance(grid, q, grid_gap=None):
+    """Hyperbolic distance from each grid row to the disk point q.
+
+    grid_gap, when given, is 1 - |row|^2 for each grid row, so that callers
+    measuring one grid against many points compute it once.
+    """
     grid = np.asarray(grid, float)
     q = np.asarray(q, float)
+    if grid_gap is None:
+        grid_gap = 1.0 - np.sum(grid**2, axis=-1)
     dd = np.sum((grid - q) ** 2, axis=-1)
-    den = (1.0 - np.sum(grid**2, axis=-1)) * (1.0 - q @ q)
+    den = grid_gap * (1.0 - q @ q)
     return np.arccosh(1.0 + 2.0 * dd / den)
 
 
@@ -155,6 +163,16 @@ def _square_grid(center, half, step):
     grid = np.stack([gx.ravel(), gy.ravel()], axis=-1)
     return grid[np.sum(grid**2, axis=-1) < 0.96**2]
 
+
+@functools.lru_cache(maxsize=4)
+def _full_disk_grid(half, step):
+    # the level-0 grid is centred at the origin, so every search with the
+    # same radius and step shares it
+    grid = _square_grid(np.zeros(2), half, step)
+    grid.flags.writeable = False
+    return grid
+
+
 def grid_minimize(objective, radius=0.92, step=1e-3):
     """argmin over a disk grid of spacing `step`, then two refinement passes.
 
@@ -164,7 +182,7 @@ def grid_minimize(objective, radius=0.92, step=1e-3):
     best = np.zeros(2)
     half = radius
     for level in range(3):
-        grid = _square_grid(best, half, step)
+        grid = _full_disk_grid(half, step) if level == 0 else _square_grid(best, half, step)
         values = objective(grid)
         best = grid[int(np.argmin(values))]
         half = 3.0 * step
@@ -178,7 +196,8 @@ def oracle_p_barycenter(atoms, weights, p, step=1e-3):
     logw = np.log(np.asarray(weights, float))
 
     def objective(grid):
-        phi = np.stack([np.log(np.cosh(disk_distance(grid, a))) for a in disk_atoms])
+        gap = 1.0 - np.sum(grid**2, axis=-1)
+        phi = np.stack([np.log(np.cosh(disk_distance(grid, a, gap))) for a in disk_atoms])
         return logsumexp(logw[:, None] + p * phi, axis=0) / p
 
     return from_disk(grid_minimize(objective, step=step))
@@ -197,7 +216,8 @@ def oracle_circumcenter(atoms, step=1e-3):
     disk_atoms = np.array([to_disk(a) for a in atoms])
 
     def objective(grid):
-        return np.max(np.stack([disk_distance(grid, a) for a in disk_atoms]), axis=0)
+        gap = 1.0 - np.sum(grid**2, axis=-1)
+        return np.max(np.stack([disk_distance(grid, a, gap) for a in disk_atoms]), axis=0)
 
     coarse = grid_minimize(objective, step=step)
 

@@ -188,6 +188,46 @@ class TestCommands:
         report = json.load(open(tmp_path / "converge_p.json"))
         assert abs(report["tolerance"] - 1e-2) < 1e-15
 
+    def test_table_line_endings(self, tmp_path):
+        # ExperimentTable reports end their rows in CRLF, the others in LF
+        assert main(["converge-p", "--seed", "0", "--grid", "16", "--out", str(tmp_path)]) == 0
+        assert main(["barycenter", "--seed", "0", "--out", str(tmp_path)]) == 0
+        converge = (tmp_path / "converge_p.csv").read_bytes()
+        assert converge.endswith(b"\r\n")
+        assert converge.count(b"\n") == converge.count(b"\r\n") == 6
+        barycenter = (tmp_path / "barycenter.csv").read_bytes()
+        assert barycenter.endswith(b"\n")
+        assert b"\r" not in barycenter
+        assert barycenter.count(b"\n") == 5
+
+    @pytest.mark.parametrize(
+        "command, report",
+        [
+            ("barycenter", "barycenter"),
+            ("circumcenter", "circumcenter"),
+            ("extend", "extend"),
+            ("converge-p", "converge_p"),
+            ("converge-flow", "converge_flow"),
+            ("audit", "audit"),
+            ("verify", "verify"),
+        ],
+    )
+    def test_every_report_carries_the_run_header(self, tmp_path, command, report):
+        mp = write_json(tmp_path / "map.json", map_to_dict(BoundaryMap.identity(2)))
+        hashes = set()
+        for out in ("a", "b"):
+            cfg = write_json(
+                tmp_path / "cfg.json",
+                {"command": command, "inputs": {"map": mp}, "out": str(tmp_path / out)},
+            )
+            main(["--config", cfg, "--seed", "9", "--grid", "16"])
+            header = json.load(open(tmp_path / out / f"{report}.json"))
+            assert header["command"] == command
+            assert header["seed"] == 9
+            hashes.add(header["config_hash"])
+        # the hash covers the configuration, not the report directory
+        assert len(hashes) == 1 and len(hashes.pop()) == 64
+
     def test_console_script_entry(self):
         out = subprocess.run(
             [sys.executable, "-m", "horobary.cli", "--help"],

@@ -21,6 +21,7 @@ from horobary.measures import (
     pushforward_qx,
     save_measure,
     uniform_boundary_grid,
+    write_csv,
 )
 from horobary.sampling import random_boundary_direction, random_space_point
 
@@ -275,6 +276,15 @@ def test_json_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back.coords, nu.coords)
     np.testing.assert_array_equal(back.dirs, nu.dirs)
     np.testing.assert_array_equal(back.weights, nu.weights)
+
+
+def test_write_csv_cells_and_line_ends(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [(1, 0.1, True), (np.int64(2), np.float64(1.0) / 3.0, np.bool_(False))]
+    write_csv(path, ["k", "x", "ok"], rows)
+    assert path.read_bytes() == b"k,x,ok\n1,0.10000000000000001,true\n2,0.33333333333333331,false\n"
+    write_csv(path, ["k"], [(float("inf"),)], newline="\r\n")
+    assert path.read_bytes() == b"k\r\ninf\r\n"
 
 
 def test_measure_dict_rejects_garbage():
