@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hyperboloid import SpacePoint, dist, exp_map, minkowski, tangent_basis
+from .hyperboloid import SpacePoint, _basis, _exp_coords, _on_sheet, dist, minkowski
 from .measures import DiscreteMeasure, write_csv
 
 COSH_MODE = "cosh-distance"
@@ -109,20 +109,28 @@ def _pairings(A, z):
 
 
 def _lse(a):
-    m = np.max(a)
-    return m + math.log(np.sum(np.exp(a - m)))
+    m = a.max()
+    return m + math.log(np.add.reduce(np.exp(a - m)))
+
+
+def _log_terms(A, const, logw, p, z):
+    """Pairings c_i, exponents a_i = log w_i + p log phi_i and their
+    log-sum-exp at z; None when a pairing has lost its sign to rounding."""
+    c = _pairings(A, z)
+    if c.min() <= 0.0:
+        return None
+    a = logw + p * (np.log(c) + const)
+    return c, a, _lse(a)
 
 
 def _objective_value(A, const, logw, p, z):
-    c = _pairings(A, z)
-    if np.min(c) <= 0.0:
-        # rounding artifact of a trial point far outside the working region;
-        # an infinite value makes the line search reject it
-        return math.inf
-    logphi = np.log(c) + const
     if math.isinf(p):
-        return float(np.max(logphi))
-    return _lse(logw + p * logphi) / p
+        c = _pairings(A, z)
+        # a pairing that lost its sign is a rounding artifact of a trial point
+        # far outside the working region; an infinite value rejects it
+        return math.inf if c.min() <= 0.0 else float((np.log(c) + const).max())
+    terms = _log_terms(A, const, logw, p, z)
+    return math.inf if terms is None else terms[2] / p
 
 
 def evaluate_objective(spec, z):
@@ -134,7 +142,7 @@ def evaluate_objective(spec, z):
 def _auto_initial(spec):
     mu = spec.data
     s = mu.weights @ mu.coords
-    return SpacePoint(s / math.sqrt(-minkowski(s, s)))
+    return _on_sheet(s / math.sqrt(-minkowski(s, s)))
 
 
 def _basis_coords(G_amb, E):
@@ -144,24 +152,31 @@ def _basis_coords(G_amb, E):
     return GJ @ E.T
 
 
+def _norm(v):
+    return math.sqrt(v.dot(v))
+
+
 def _newton(A, const, logw, p, z, grad_tol, max_iters):
-    """Damped Newton descent for finite p.  Returns (z, grad_norm, iters)."""
-    n = z.shape[0] - 1
-    value = _objective_value(A, const, logw, p, z)
-    for it in range(max_iters):
-        c = _pairings(A, z)
-        logphi = np.log(c) + const
-        a = logw + p * logphi
-        what = np.exp(a - _lse(a))
-        G_amb = z[None, :] - A / c[:, None]
-        E = tangent_basis(SpacePoint(z))
-        g = _basis_coords(G_amb, E)
+    """Damped Newton descent for finite p.  Returns (z, grad_norm, iters).
+
+    Iterates on raw coordinates; every trial point passes the on-sheet
+    check, and an accepted one hands its kernel terms to the next step."""
+    eye = np.eye(z.shape[0] - 1)
+    c = _pairings(A, z)
+    a = logw + p * (np.log(c) + const)
+    lse = _lse(a)
+    value = lse / p if c.min() > 0.0 else math.inf
+    it = 0
+    while True:
+        what = np.exp(a - lse)
+        E = _basis(z)
+        g = _basis_coords(z[None, :] - A / c[:, None], E)
         gbar = what @ g
-        grad_norm = float(np.linalg.norm(gbar))
-        if grad_norm <= grad_tol:
+        grad_norm = _norm(gbar)
+        if grad_norm <= grad_tol or it == max_iters:
             return z, grad_norm, it
         S = (g * what[:, None]).T @ g
-        H = np.eye(n) + (p - 1.0) * S - p * np.outer(gbar, gbar)
+        H = eye + (p - 1.0) * S - p * np.outer(gbar, gbar)
         try:
             delta = np.linalg.solve(H, -gbar)
         except np.linalg.LinAlgError:
@@ -169,7 +184,7 @@ def _newton(A, const, logw, p, z, grad_tol, max_iters):
         slope = float(delta @ gbar)
         if slope >= 0:
             delta, slope = -gbar, -grad_norm**2
-        norm = np.linalg.norm(delta)
+        norm = _norm(delta)
         if norm > STEP_CLAMP:
             delta *= STEP_CLAMP / norm
             slope *= STEP_CLAMP / norm
@@ -177,13 +192,14 @@ def _newton(A, const, logw, p, z, grad_tol, max_iters):
         tau = 1.0
         for _ in range(60):
             try:
-                z_new = exp_map(SpacePoint(z), tau * v).coords
+                z_new = _on_sheet(_exp_coords(z, tau * v))
             except ValueError:
                 # a step that lands so far out that -<c, c> loses its sign
                 # to rounding has no point on the sheet: shorten it
                 tau *= 0.5
                 continue
-            new_value = _objective_value(A, const, logw, p, z_new)
+            terms = _log_terms(A, const, logw, p, z_new)
+            new_value = math.inf if terms is None else terms[2] / p
             if new_value <= value + ARMIJO * tau * slope:
                 break
             if -slope <= SLOPE_FLOOR and math.isfinite(new_value):
@@ -198,13 +214,8 @@ def _newton(A, const, logw, p, z, grad_tol, max_iters):
             # running off toward the boundary: no minimum to find
             return z, grad_norm, it + 1
         z, value = z_new, new_value
-    c = _pairings(A, z)
-    a = logw + p * (np.log(c) + const)
-    what = np.exp(a - _lse(a))
-    G_amb = z[None, :] - A / c[:, None]
-    g = _basis_coords(G_amb, tangent_basis(SpacePoint(z)))
-    grad_norm = float(np.linalg.norm(what @ g))
-    return z, grad_norm, max_iters
+        c, a, lse = terms
+        it += 1
 
 
 def _polish_minimax(A, const, z, grad_tol, max_iters=100):
@@ -215,26 +226,26 @@ def _polish_minimax(A, const, z, grad_tol, max_iters=100):
     multipliers on the active set, and the common max value m.
     """
     n = z.shape[0] - 1
-    phi = np.log(_pairings(A, z)) + const
-    m = float(np.max(phi))
+    c = _pairings(A, z)
+    phi = np.log(c) + const
+    m = float(phi.max())
     # cast a wide net at first: the continuation warm start leaves the truly
     # active values spread by ~log(atoms)/p_max, and spurious members exit
     # through negative multipliers
     active = np.flatnonzero(phi >= m - max(EPS_ACTIVE, 1e-3))
     lam = np.full(active.size, 1.0 / active.size)
     iters = 0
-    for _ in range(max_iters):
+    while True:
+        E = _basis(z)
+        G = _basis_coords(z[None, :] - A[active] / c[active, None], E)
+        if iters == max_iters:
+            break
         iters += 1
-        c = _pairings(A, z)
-        phi = np.log(c) + const
-        E = tangent_basis(SpacePoint(z))
-        G_amb = z[None, :] - A[active] / c[active, None]
-        G = _basis_coords(G_amb, E)
         k = active.size
         r1 = G.T @ lam
         r2 = phi[active] - m
         r3 = lam.sum() - 1.0
-        grad_norm = float(np.linalg.norm(r1))
+        grad_norm = _norm(r1)
         if grad_norm <= grad_tol and np.max(np.abs(r2)) <= 1e-12 and abs(r3) <= 1e-12:
             # drop any negative-weight stragglers from the certificate
             if k > 1 and np.min(lam) < -1e-12:
@@ -255,12 +266,12 @@ def _polish_minimax(A, const, z, grad_tol, max_iters=100):
         rhs = np.concatenate([-r1, -r2, [-r3]])
         sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
         delta, dlam, dm = sol[:n], sol[n : n + k], sol[n + k]
-        norm = np.linalg.norm(delta)
+        norm = _norm(delta)
         if norm > 1.0:
             # polish steps are corrections; a long one means a misidentified
             # active set, and shrinking it lets the multiplier signs sort it out
             delta /= norm
-        z = exp_map(SpacePoint(z), delta @ E).coords
+        z = _on_sheet(_exp_coords(z, delta @ E))
         lam = lam + dlam
         m = m + float(dm)
         if active.size > 1 and np.min(lam) < -1e-12:
@@ -269,7 +280,8 @@ def _polish_minimax(A, const, z, grad_tol, max_iters=100):
             lam = np.delete(lam, drop)
             total = lam.sum()
             lam = np.full(active.size, 1.0 / active.size) if total <= 0 else lam / total
-        phi = np.log(_pairings(A, z)) + const
+        c = _pairings(A, z)
+        phi = np.log(c) + const
         violators = np.flatnonzero(phi > m + EPS_ACTIVE)
         fresh = np.setdiff1d(violators, active)
         if fresh.size:
@@ -278,13 +290,10 @@ def _polish_minimax(A, const, z, grad_tol, max_iters=100):
             lam = np.maximum(lam, 1e-16)
             lam /= lam.sum()
             m = float(np.max(phi))
+    # the certificate is the clipped convex combination at the exit point
     lam = np.maximum(lam, 0.0)
     lam /= lam.sum()
-    c = _pairings(A, z)
-    G_amb = z[None, :] - A[active] / c[active, None]
-    G = _basis_coords(G_amb, tangent_basis(SpacePoint(z)))
-    grad_norm = float(np.linalg.norm(G.T @ lam))
-    return z, grad_norm, iters
+    return z, _norm(G.T @ lam), iters
 
 
 def minimize(spec, cfg=None):
@@ -297,7 +306,7 @@ def minimize(spec, cfg=None):
             "all endpoint directions coincide; the energy has no minimum",
             stacklevel=2,
         )
-    z = (cfg.initial or _auto_initial(spec)).coords
+    z = _auto_initial(spec) if cfg.initial is None else cfg.initial.coords
     p = spec.exponent
     if math.isinf(p):
         total = 0

@@ -5,6 +5,14 @@ in Minkowski space R^{n,1}, with bilinear form <u,v> = -u0*v0 + sum_i ui*vi.
 Ideal boundary points are future null rays, stored normalized to xi0 = 1.
 Every geometric quantity here is a closed-form expression in Minkowski
 products, which stays well conditioned arbitrarily close to the boundary.
+
+Typed values (SpacePoint, BoundaryDirection, UnitTangent) validate their
+coordinates when built; the private array cores do not.  The cores
+(_basis, _exp_coords, _reproject) take raw (n+1,) coordinate arrays and
+build no typed value, and _on_sheet is SpacePoint's own check on raw
+coordinates, raising the same ValueError.  The public functions wrap the
+cores, so the typed and raw paths share every bit of arithmetic; solver
+loops call the cores directly and check each trial point with _on_sheet.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ def minkowski(u, v):
     """Minkowski product -u0*v0 + u1*v1 + ... along the last axis."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    return np.sum(u[..., 1:] * v[..., 1:], axis=-1) - u[..., 0] * v[..., 0]
+    return np.add.reduce(u[..., 1:] * v[..., 1:], axis=-1) - u[..., 0] * v[..., 0]
 
 
 @dataclass(frozen=True)
@@ -55,15 +63,7 @@ class SpacePoint:
         c = np.atleast_1d(np.asarray(self.coords, dtype=float))
         if c.ndim != 1 or c.size < 3:
             raise ValueError("coords must be a flat (n+1)-vector with n >= 2")
-        if c[0] <= 0.0:
-            raise ValueError("point is not on the future sheet (x0 <= 0)")
-        res = minkowski(c, c) + 1.0
-        # the constraint is checked relative to the magnitude of the products
-        # entering the quadratic form: beyond x0 ~ 1e3 a double vector cannot
-        # satisfy it to 1e-10 absolute, only to scale * eps
-        if abs(res) > CONSTRAINT_TOL * max(1.0, c @ c):
-            raise ValueError(f"coords are off the hyperboloid (<x,x>+1 = {res:g})")
-        c = c.copy()
+        c = _on_sheet(c).copy()
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 
@@ -139,6 +139,19 @@ class UnitTangent:
         return self.base.dim
 
 
+def _on_sheet(c: np.ndarray) -> np.ndarray:
+    """The SpacePoint check on raw coordinates: returns c, or raises."""
+    if c[0] <= 0.0:
+        raise ValueError("point is not on the future sheet (x0 <= 0)")
+    res = minkowski(c, c) + 1.0
+    # the constraint is checked relative to the magnitude of the products
+    # entering the quadratic form: beyond x0 ~ 1e3 a double vector cannot
+    # satisfy it to 1e-10 absolute, only to scale * eps
+    if abs(res) > CONSTRAINT_TOL * max(1.0, c @ c):
+        raise ValueError(f"coords are off the hyperboloid (<x,x>+1 = {res:g})")
+    return c
+
+
 def origin(dim: int = 2) -> SpacePoint:
     """The basepoint o = (1, 0, ..., 0) of H^dim."""
     c = np.zeros(dim + 1)
@@ -151,10 +164,16 @@ def origin(dim: int = 2) -> SpacePoint:
 # surfaces by rounding; re-project only past RENORM_TOL so exact inputs
 # pass through bit-identically.
 
+def _reproject(c: np.ndarray) -> np.ndarray:
+    # a point whose -<c, c> has lost its sign to rounding raises here
+    q = minkowski(c, c)
+    if abs(q + 1.0) > RENORM_TOL * max(1.0, c @ c):
+        c = c / math.sqrt(-q)
+    return c
+
+
 def _point(c: np.ndarray) -> SpacePoint:
-    if abs(minkowski(c, c) + 1.0) > RENORM_TOL * max(1.0, c @ c):
-        c = c / math.sqrt(-minkowski(c, c))
-    return SpacePoint(c)
+    return SpacePoint(_reproject(c))
 
 
 def _tangent(base: SpacePoint, d: np.ndarray) -> UnitTangent:
@@ -364,12 +383,17 @@ def tangent_basis(x: SpacePoint) -> np.ndarray:
     Built by projecting the spatial coordinate axes and orthogonalizing;
     the tangent metric is positive definite so this never degenerates.
     """
-    n = x.dim
+    return _basis(x.coords)
+
+
+def _basis(x: np.ndarray) -> np.ndarray:
+    # tangent_basis on raw coordinates
+    n = x.size - 1
     rows = []
     for k in range(1, n + 1):
         v = np.zeros(n + 1)
         v[k] = 1.0
-        v = v + minkowski(v, x.coords) * x.coords
+        v = v + minkowski(v, x) * x
         for e in rows:
             v = v - minkowski(v, e) * e
         v = v / math.sqrt(minkowski(v, v))
@@ -379,13 +403,18 @@ def tangent_basis(x: SpacePoint) -> np.ndarray:
 
 def exp_map(x: SpacePoint, v) -> SpacePoint:
     """Follow the geodesic from x with initial velocity v for unit time."""
-    v = np.asarray(v, dtype=float)
+    c = _exp_coords(x.coords, np.asarray(v, dtype=float))
+    return x if c is x.coords else SpacePoint(c)
+
+
+def _exp_coords(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # exp_map on raw coordinates, re-projected but not validated
     r2 = minkowski(v, v)
     if r2 <= 0.0:
         # tangent vectors are spacelike; <=0 only for the zero vector + rounding
         return x
     r = math.sqrt(r2)
-    return _point(math.cosh(r) * x.coords + (math.sinh(r) / r) * v)
+    return _reproject(math.cosh(r) * x + (math.sinh(r) / r) * v)
 
 
 def log_map(x: SpacePoint, y: SpacePoint) -> np.ndarray:

@@ -42,6 +42,7 @@ from horobary.sampling import (
 )
 
 import oracles
+from horobary import barycenter, hyperboloid
 
 
 def space_measure(points, weights=None):
@@ -159,6 +160,61 @@ def test_newton_does_not_stall_at_the_rounding_floor():
         res = minimize(ObjectiveSpec(p, BUSEMANN_MODE, nu))
         assert res.converged
         assert res.iterations <= 20
+
+
+def _count_space_points(monkeypatch):
+    builds = []
+    check = hyperboloid.SpacePoint.__post_init__
+
+    def counted(self):
+        builds.append(1)
+        check(self)
+
+    monkeypatch.setattr(hyperboloid.SpacePoint, "__post_init__", counted)
+    return builds
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [2.0, 64.0, math.inf])
+def test_minimize_builds_one_space_point(monkeypatch, dim, p):
+    # the solver loop runs on raw coordinates; only the result is typed
+    rng = np.random.default_rng(52 + dim)
+    tangents = [random_unit_tangent(rng, dim=dim, radius=1.0) for _ in range(6)]
+    points = [random_space_point(rng, dim=dim) for _ in range(4)]
+    specs = [
+        ObjectiveSpec(p, BUSEMANN_MODE, space_measure(tangents)),
+        ObjectiveSpec(p, COSH_MODE, space_measure(points)),
+    ]
+    for spec in specs:
+        builds = _count_space_points(monkeypatch)
+        res = minimize(spec)
+        assert res.iterations > 0
+        assert len(builds) == 1
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_line_search_halves_a_step_that_leaves_the_sheet(monkeypatch, dim):
+    # the first trial point is pulled inside the hyperboloid, where every
+    # pairing halves and the energy drops by log 2; the on-sheet check must
+    # still reject it, and the line search retries at half the step
+    rng = np.random.default_rng(50 + dim)
+    spec = ObjectiveSpec(
+        2.0, COSH_MODE, space_measure([random_space_point(rng, dim=dim) for _ in range(4)])
+    )
+    steps = []
+    step = barycenter._exp_coords
+
+    def first_step_off_sheet(x, v):
+        steps.append(float(np.linalg.norm(v)))
+        c = step(x, v)
+        return 0.5 * c if len(steps) == 1 else c
+
+    monkeypatch.setattr(barycenter, "_exp_coords", first_step_off_sheet)
+    res = minimize(spec)
+    assert steps[1] == 0.5 * steps[0]
+    assert res.converged
+    monkeypatch.undo()
+    assert dist(res.minimizer, minimize(spec).minimizer) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ from horobary.hyperboloid import (
     ModelConfig,
     SpacePoint,
     UnitTangent,
+    _basis,
+    _exp_coords,
+    _on_sheet,
     antipode,
     boundary_endpoint,
     boundary_geodesic,
@@ -470,6 +473,40 @@ def test_tangent_basis_orthonormal():
         np.testing.assert_allclose(gram, np.eye(dim), atol=1e-12)
         for e in basis:
             assert abs(minkowski(e, x.coords)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_array_cores_match_typed_wrappers_bit_for_bit(dim):
+    # the solver loop calls the cores on raw coordinates; the typed
+    # functions must give the very same bits
+    rng = np.random.default_rng(35 + dim)
+    for _ in range(50):
+        x = random_space_point(rng, dim=dim, radius=3.0)
+        v = 5.0 * random_tangent_vector(rng, x)
+        assert _basis(x.coords).tobytes() == tangent_basis(x).tobytes()
+        step = _on_sheet(_exp_coords(x.coords, v))
+        assert step.tobytes() == exp_map(x, v).coords.tobytes()
+    # the zero step returns the point itself in both
+    assert _exp_coords(x.coords, np.zeros(dim + 1)) is x.coords
+    assert exp_map(x, np.zeros(dim + 1)) is x
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sheet_check_core_rejects_off_sheet_points(dim):
+    x = origin(dim).coords
+    with pytest.raises(ValueError, match="future sheet"):
+        _on_sheet(-x)
+    off = x.copy()
+    off[1] = 0.5
+    with pytest.raises(ValueError, match="off the hyperboloid"):
+        _on_sheet(off)
+    # a step of length 20 straight back from distance 12 cancels so badly
+    # that -<c, c> loses its sign: the step core raises, as the line search
+    # of the solver expects
+    far = np.zeros(dim + 1)
+    far[0], far[1] = math.cosh(12.0), math.sinh(12.0)
+    with pytest.raises(ValueError):
+        _on_sheet(_exp_coords(far, -20.0 * _basis(far)[0]))
 
 
 def test_tangent_projection_idempotent():
