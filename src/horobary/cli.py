@@ -25,13 +25,13 @@ from .barycenter import (
 )
 from .extension import (
     ExtensionContext,
+    _lipschitz_rows,
+    _round_trips,
     argmax_set,
     circumcenter_extension,
     derivative_identity_residual,
     extension_result,
     hull_certificate,
-    inverse_consistency,
-    lipschitz_audit,
     main_inequality_audit,
     mu_x_p,
 )
@@ -434,6 +434,11 @@ def _invariant_suites(cfg, scale, pair_count=8):
         uniform_boundary_grid(cfg.grid_n, go),
         cfg.model,
     )
+    # the Lipschitz and round-trip audits share one forward solve per point
+    images = [
+        (circumcenter_extension(shared_ctx, x), circumcenter_extension(shared_ctx, y))
+        for x, y in pairs
+    ]
     return [
         _gate_suite(),
         _balance_suite(cases, scale),
@@ -441,8 +446,8 @@ def _invariant_suites(cfg, scale, pair_count=8):
         _naturality_suite(cases, scale),
         _derivative_suite(cases, scale),
         _scaled(main_inequality_audit(shared_ctx, pairs, 64.0), scale),
-        _scaled(lipschitz_audit(shared_ctx, pairs), scale),
-        _scaled(inverse_consistency(shared_ctx, back, [x for x, _ in pairs]), scale),
+        _scaled(_lipschitz_rows(pairs, images, shared_ctx.model.b), scale),
+        _scaled(_round_trips(back, [x for x, _ in pairs], [fx for fx, _ in images]), scale),
     ]
 
 

@@ -387,13 +387,17 @@ def main_inequality_audit(ctx, pairs, p, b=None):
 
 def lipschitz_audit(ctx, pairs, b=None):
     """Contraction ratios of the circumcenter extension at pinching b."""
-    if b is None:
-        b = ctx.model.b
+    images = [
+        (circumcenter_extension(ctx, x), circumcenter_extension(ctx, y)) for x, y in pairs
+    ]
+    return _lipschitz_rows(pairs, images, ctx.model.b if b is None else b)
+
+
+def _lipschitz_rows(pairs, images, b):
+    # lipschitz_audit from the solved images (f x, f y) of the pairs
     rows = []
     worst = -math.inf
-    for x, y in pairs:
-        fx = circumcenter_extension(ctx, x)
-        fy = circumcenter_extension(ctx, y)
+    for (x, y), (fx, fy) in zip(pairs, images):
         d_src = dist(x, y)
         d_img = dist(fx, fy)
         ratio = math.cosh(d_img) ** b / math.cosh(b * d_src)
@@ -416,12 +420,16 @@ def lipschitz_audit(ctx, pairs, b=None):
 
 def inverse_consistency(ctx_f, ctx_g, samples):
     """Round-trip error of the two circumcenter extensions."""
+    images = [circumcenter_extension(ctx_f, x) for x in samples]
+    return _round_trips(ctx_g, samples, images)
+
+
+def _round_trips(ctx_g, samples, images):
+    # inverse_consistency from the solved forward images of the samples
     rows = []
     worst = -math.inf
-    for x in samples:
-        y = circumcenter_extension(ctx_f, x)
-        back = circumcenter_extension(ctx_g, y)
-        err = dist(back, x)
+    for x, y in zip(samples, images):
+        err = dist(circumcenter_extension(ctx_g, y), x)
         worst = max(worst, err)
         rows.append({"round_trip_error": err})
     return _audit("inverse-consistency", rows, worst, INVERSE_TOL)

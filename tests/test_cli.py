@@ -265,8 +265,10 @@ class TestVerify:
         assert all("rows" not in s for s in report["suites"])
 
     def test_verify_solves_each_point_once(self, tmp_path, monkeypatch):
-        # hull and naturality share one p = inf solve per case, and the
-        # inequality and derivative audits take x's solve from mu_x_p
+        # hull and naturality share one p = inf solve per case, the
+        # Lipschitz and round-trip audits share the forward solve of each
+        # pair point, and the inequality and derivative audits take x's
+        # solve from mu_x_p
         solves = Counter()
         solve = extension.extension_result
 
@@ -276,4 +278,4 @@ class TestVerify:
 
         monkeypatch.setattr(extension, "extension_result", counted)
         assert main(["verify", "--seed", "4", "--out", str(tmp_path)]) == 0
-        assert solves == {math.inf: 40, 64.0: 30, 4.0: 6, 16.0: 6}
+        assert solves == {math.inf: 32, 64.0: 30, 4.0: 6, 16.0: 6}
