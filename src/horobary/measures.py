@@ -16,6 +16,7 @@ import numpy as np
 
 from .hyperboloid import (
     CONSTRAINT_TOL,
+    RENORM_TOL,
     BoundaryDirection,
     SpacePoint,
     UnitTangent,
@@ -178,6 +179,10 @@ def uniform_boundary_grid(n, x):
     dirs = sphere @ basis
     rays = dirs + x.coords
     rays = rays / rays[:, :1]
+    # x + dir cancels when dir points back past the origin from a far x; as
+    # in boundary_endpoint, renormalizing the spatial part restores the cone
+    fix = np.abs(minkowski(rays, rays)) > RENORM_TOL
+    rays[fix, 1:] /= np.linalg.norm(rays[fix, 1:], axis=1, keepdims=True)
     return DiscreteMeasure("boundary", rays, np.full(n, 1.0 / n))
 
 

@@ -8,10 +8,13 @@ from horobary.hyperboloid import (
     boundary_endpoint,
     dist,
     geodesic_flow,
+    minkowski,
     origin,
+    tangent_basis,
 )
 from horobary.measures import (
     DiscreteMeasure,
+    _sphere_grid,
     coalesce,
     flow_project,
     load_measure,
@@ -190,6 +193,25 @@ def test_uniform_grid_higher_dim():
         nu = pushforward_qx(mu, x)
         resultant = (nu.weights[:, None] * nu.dirs).sum(axis=0)
         assert np.linalg.norm(resultant) < 0.1
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_uniform_grid_far_from_the_origin(dim):
+    # x + dir cancels for directions pointing back past the origin; the rays
+    # must still land on the null cone, at the endpoints of the grid's
+    # unit tangents at x
+    if dim == 2:
+        angles = 2.0 * np.pi * np.arange(64) / 64
+        sphere = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    else:
+        sphere = _sphere_grid(64, dim)
+    rng = np.random.default_rng([8, dim])
+    for _ in range(40):
+        x = random_space_point(rng, dim=dim, radius=8.0)
+        rays = uniform_boundary_grid(64, x).coords
+        assert np.all(np.abs(minkowski(rays, rays)) <= 1e-12)
+        ends = [boundary_endpoint(UnitTangent(x, d)).coords for d in sphere @ tangent_basis(x)]
+        np.testing.assert_allclose(rays, ends, rtol=0, atol=1e-12)
 
 
 def test_pushforward_qx_round_trip():
