@@ -162,18 +162,6 @@ def test_newton_does_not_stall_at_the_rounding_floor():
         assert res.iterations <= 20
 
 
-def _count_space_points(monkeypatch):
-    builds = []
-    check = hyperboloid.SpacePoint.__post_init__
-
-    def counted(self):
-        builds.append(1)
-        check(self)
-
-    monkeypatch.setattr(hyperboloid.SpacePoint, "__post_init__", counted)
-    return builds
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("p", [2.0, 64.0, math.inf])
 def test_minimize_builds_one_space_point(monkeypatch, dim, p):
@@ -185,11 +173,19 @@ def test_minimize_builds_one_space_point(monkeypatch, dim, p):
         ObjectiveSpec(p, BUSEMANN_MODE, space_measure(tangents)),
         ObjectiveSpec(p, COSH_MODE, space_measure(points)),
     ]
+    builds = []
+    check = hyperboloid.SpacePoint.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        check(self)
+
+    monkeypatch.setattr(hyperboloid.SpacePoint, "__post_init__", counted)
     for spec in specs:
-        builds = _count_space_points(monkeypatch)
+        builds.clear()
         res = minimize(spec)
         assert res.iterations > 0
-        assert len(builds) == 1
+        assert builds == [res.minimizer]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
