@@ -25,6 +25,7 @@ from .barycenter import (
 )
 from .extension import (
     ExtensionContext,
+    _audit,
     _lipschitz_rows,
     _round_trips,
     argmax_set,
@@ -177,26 +178,6 @@ def _report(cfg, name, summary, header=None, rows=None):
 
 def _columns(prefix, cfg):
     return [f"{prefix}_{i}" for i in range(cfg.model.dim + 1)]
-
-
-def _suite(name, violations, tolerance, scale):
-    tol = tolerance * scale
-    worst = max(violations)
-    return {
-        "audit": name,
-        "pairs": len(violations),
-        "max_violation": worst,
-        "tolerance": tol,
-        "pass": worst <= tol,
-    }
-
-
-def _scaled(report, scale):
-    tol = report["tolerance"] * scale
-    out = dict(report)
-    out["tolerance"] = tol
-    out["pass"] = report["max_violation"] <= tol
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +339,12 @@ def _gate_suite():
     except ValueError:
         rejected = True
     violation = GATE_FLOOR - deviation if rejected else math.inf
-    return {
-        "audit": "gate-rejection",
-        "pairs": 1,
-        "max_violation": violation,
-        "tolerance": 0.0,
-        "pass": violation <= 0.0,
-        "deviation": deviation,
-    }
+    return {**_audit("gate-rejection", [violation], 0.0), "deviation": deviation}
 
 
-def _balance_suite(cases, scale):
+def _balance_suite(cases):
     residuals = [mu_x_p(case["ctx"], case["x"], 64.0)[1].residual for case in cases]
-    return _suite("balance", residuals, 1e-8, scale)
+    return _audit("balance", residuals, 1e-8)
 
 
 def _hull_violation(case):
@@ -390,25 +364,25 @@ def _hull_violation(case):
     return bad
 
 
-def _hull_suite(cases, scale):
-    return _suite("hull-certificate", [_hull_violation(case) for case in cases], 1e-9, scale)
+def _hull_suite(cases):
+    return _audit("hull-certificate", [_hull_violation(case) for case in cases], 1e-9)
 
 
-def _naturality_suite(cases, scale):
+def _naturality_suite(cases):
     errs = [dist(case["image"], SpacePoint(case["g"] @ case["x"].coords)) for case in cases]
-    return _suite("naturality", errs, NATURALITY_TOL, scale)
+    return _audit("naturality", errs, NATURALITY_TOL)
 
 
-def _derivative_suite(cases, scale):
+def _derivative_suite(cases):
     residuals = [
         derivative_identity_residual(case["ctx"], case["x"], tangent_basis(case["x"])[0], p)
         for p in (4.0, 16.0, 64.0)
         for case in cases[:2]
     ]
-    return _suite("derivative-identity", residuals, 1e-4, scale)
+    return _audit("derivative-identity", residuals, 1e-4)
 
 
-def _invariant_suites(cfg, scale, pair_count=8):
+def _invariant_suites(cfg, pair_count=8):
     rngs = _case_rngs(cfg, pair_count + 2)
     cases = []
     for rng in rngs[:pair_count]:
@@ -441,20 +415,23 @@ def _invariant_suites(cfg, scale, pair_count=8):
     ]
     return [
         _gate_suite(),
-        _balance_suite(cases, scale),
-        _hull_suite(cases, scale),
-        _naturality_suite(cases, scale),
-        _derivative_suite(cases, scale),
-        _scaled(main_inequality_audit(shared_ctx, pairs, 64.0), scale),
-        _scaled(_lipschitz_rows(pairs, images, shared_ctx.model.b), scale),
-        _scaled(_round_trips(back, [x for x, _ in pairs], [fx for fx, _ in images]), scale),
+        _balance_suite(cases),
+        _hull_suite(cases),
+        _naturality_suite(cases),
+        _derivative_suite(cases),
+        main_inequality_audit(shared_ctx, pairs, 64.0),
+        _lipschitz_rows(pairs, images, shared_ctx.model.b),
+        _round_trips(back, [x for x, _ in pairs], [fx for fx, _ in images]),
     ]
 
 
 def _run_battery(cfg, scale):
-    """audit and verify: the same suites, written to <command>.json; verify
-    leaves out the per-pair rows."""
-    suites = _invariant_suites(cfg, scale)
+    """audit and verify: the same suites with every tolerance scaled,
+    written to <command>.json; verify leaves out the per-pair rows."""
+    suites = _invariant_suites(cfg)
+    for s in suites:
+        s["tolerance"] *= scale
+        s["pass"] = s["max_violation"] <= s["tolerance"]
     if cfg.command == "verify":
         suites = [{k: v for k, v in s.items() if k != "rows"} for s in suites]
     ok = all(s["pass"] for s in suites)

@@ -3,16 +3,19 @@
 Points live on the upper sheet {<x,x> = -1, x0 > 0} of the unit hyperboloid
 in Minkowski space R^{n,1}, with bilinear form <u,v> = -u0*v0 + sum_i ui*vi.
 Ideal boundary points are future null rays, stored normalized to xi0 = 1.
-Every geometric quantity here is a closed-form expression in Minkowski
-products, which stays well conditioned arbitrarily close to the boundary.
+Every geometric quantity here is a closed form in Minkowski products, which
+stays well conditioned arbitrarily close to the boundary.
 
-Typed values (SpacePoint, BoundaryDirection, UnitTangent) validate their
-coordinates when built; the private array cores do not.  The cores
-(_basis, _exp_coords, _reproject) take raw (n+1,) coordinate arrays and
-build no typed value, and _on_sheet is SpacePoint's own check on raw
-coordinates, raising the same ValueError.  The public functions wrap the
-cores, so the typed and raw paths share every bit of arithmetic; solver
-loops call the cores directly and check each trial point with _on_sheet.
+Each closed form has one body: a private array core on raw coordinate rows
+(_busemann, _chord, _visual, _direction_rows, _endpoint_rows,
+_geodesic_rows, _tangent_rows, _point_rows, _basis, _exp_coords).  The
+cores build no typed value and validate nothing.  The typed public
+functions are one-row views of the cores: they pass their arguments'
+coordinates as single rows and validate the result by building a typed
+value (SpacePoint, BoundaryDirection, UnitTangent), whose checks NaN and
+inf fail.  The array layers and the solver loops call the cores directly;
+the solvers check each trial point with _on_sheet, SpacePoint's own check
+on raw coordinates.
 """
 
 from __future__ import annotations
@@ -87,11 +90,12 @@ class BoundaryDirection:
         c = np.atleast_1d(np.asarray(self.coords, dtype=float))
         if c.ndim != 1 or c.size < 3:
             raise ValueError("coords must be a flat (n+1)-vector with n >= 2")
-        if c[0] <= 0.0:
+        if not c[0] > 0.0:
             raise ValueError("null vector is not future-pointing (xi0 <= 0)")
         c = c / c[0]
         res = minkowski(c, c)
-        if abs(res) > CONSTRAINT_TOL:
+        # written so that NaN fails it; an infinite entry makes res NaN or inf
+        if not abs(res) <= CONSTRAINT_TOL:
             raise ValueError(f"coords are not on the null cone (<xi,xi> = {res:g})")
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
@@ -124,9 +128,12 @@ class UnitTangent:
         x = self.base.coords
         nres = minkowski(d, d) - 1.0
         ores = minkowski(x, d)
-        ntol = CONSTRAINT_TOL * max(1.0, d @ d)
-        otol = CONSTRAINT_TOL * max(1.0, math.sqrt((x @ x) * (d @ d)))
-        if abs(nres) > ntol or abs(ores) > otol:
+        dd = d @ d
+        ntol = CONSTRAINT_TOL * max(1.0, dd)
+        otol = CONSTRAINT_TOL * max(1.0, math.sqrt((x @ x) * dd))
+        # written so that NaN fails it; an infinite entry would meet the
+        # relative tolerances, so dd must be finite too
+        if not (abs(nres) <= ntol and abs(ores) <= otol and dd < math.inf):
             raise ValueError(
                 f"dir is not unit tangent at base (<d,d>-1 = {nres:g}, <x,d> = {ores:g})"
             )
@@ -140,14 +147,21 @@ class UnitTangent:
 
 
 def _on_sheet(c: np.ndarray) -> np.ndarray:
-    """The SpacePoint check on raw coordinates: returns c, or raises."""
-    if c[0] <= 0.0:
+    """The SpacePoint check on raw coordinates: returns c, or raises.
+
+    Kept beside the row check of measures._check_rows: one point is checked
+    several times faster here, and the solvers check every trial point.
+    """
+    # each comparison is written so that NaN fails it
+    if not c[0] > 0.0:
         raise ValueError("point is not on the future sheet (x0 <= 0)")
     res = minkowski(c, c) + 1.0
     # the constraint is checked relative to the magnitude of the products
     # entering the quadratic form: beyond x0 ~ 1e3 a double vector cannot
-    # satisfy it to 1e-10 absolute, only to scale * eps
-    if abs(res) > CONSTRAINT_TOL * max(1.0, c @ c):
+    # satisfy it to 1e-10 absolute, only to scale * eps; an infinite entry
+    # makes the scale infinite, which would pass any residual
+    scale = max(1.0, c @ c)
+    if not (abs(res) <= CONSTRAINT_TOL * scale and scale < math.inf):
         raise ValueError(f"coords are off the hyperboloid (<x,x>+1 = {res:g})")
     return c
 
@@ -165,6 +179,8 @@ def origin(dim: int = 2) -> SpacePoint:
 # pass through bit-identically.
 
 def _reproject(c: np.ndarray) -> np.ndarray:
+    # _point_rows on one point, kept as its own body because the damped
+    # Newton step calls it on every trial point
     # a point whose -<c, c> has lost its sign to rounding raises here
     q = minkowski(c, c)
     if abs(q + 1.0) > RENORM_TOL * max(1.0, c @ c):
@@ -177,12 +193,7 @@ def _point(c: np.ndarray) -> SpacePoint:
 
 
 def _tangent(base: SpacePoint, d: np.ndarray) -> UnitTangent:
-    x = base.coords
-    scale = max(1.0, d @ d)
-    if abs(minkowski(d, d) - 1.0) > RENORM_TOL * scale or abs(minkowski(x, d)) > RENORM_TOL * scale:
-        d = d + minkowski(d, x) * x
-        d = d / math.sqrt(minkowski(d, d))
-    return UnitTangent(base, d)
+    return UnitTangent(base, _tangent_rows(base.coords[None, :], d[None, :])[0])
 
 
 def _sq_rows(a: np.ndarray) -> np.ndarray:
@@ -202,15 +213,10 @@ def _point_rows(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _direction_rows(x: np.ndarray, rays: np.ndarray) -> np.ndarray:
-    """direction_to from one point to every row of an (m, n+1) array of
-    rays, as raw directions; validation as in _point_rows."""
-    return rays / -minkowski(x, rays)[:, None] - x
-
-
 def _tangent_rows(x: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """_tangent on every row pair of two (m, n+1) arrays of base points and
-    directions, returning new directions; validation as in _point_rows."""
+    """Re-project every row pair of two (m, n+1) arrays of base points and
+    directions to a unit tangent, returning new directions; validation as
+    in _point_rows."""
     scale = RENORM_TOL * np.maximum(1.0, _sq_rows(d))
     fix = (np.abs(minkowski(d, d) - 1.0) > scale) | (np.abs(minkowski(x, d)) > scale)
     d = d.copy()
@@ -254,20 +260,31 @@ def flip(u: UnitTangent) -> UnitTangent:
 
 def boundary_endpoint(u: UnitTangent) -> BoundaryDirection:
     """The forward ideal endpoint gamma(+inf), the null direction of base + dir."""
+    return BoundaryDirection(_endpoint_rows(u.base.coords[None, :], u.dir[None, :])[0])
+
+
+def _endpoint_rows(bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """boundary_endpoint of every row pair of base points and directions,
+    as rays normalized to a leading 1; validation as in _point_rows."""
+    c = bases + dirs
+    c = c / c[:, :1]
     # base + dir is null in exact arithmetic, but the cancellation when the
     # leading component is small (a ray pointing nearly back past the
     # origin from a far base) leaves a defect; renormalizing the spatial
     # part restores the cone exactly
-    c = u.base.coords + u.dir
-    c = c / c[0]
-    c[1:] /= np.linalg.norm(c[1:])
-    return BoundaryDirection(c)
+    c[:, 1:] /= np.linalg.norm(c[:, 1:], axis=1, keepdims=True)
+    return c
 
 
 def direction_to(x: SpacePoint, xi: BoundaryDirection) -> UnitTangent:
     """The unit tangent at x pointing at xi; inverse of boundary_endpoint on T^1_x."""
-    s = -minkowski(x.coords, xi.coords)
-    return UnitTangent(x, xi.coords / s - x.coords)
+    return UnitTangent(x, _direction_rows(x.coords, xi.coords[None, :])[0])
+
+
+def _direction_rows(x: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """direction_to from one point to every row of an (m, n+1) array of
+    rays, as raw directions; validation as in _point_rows."""
+    return rays / -minkowski(x, rays)[:, None] - x
 
 
 def antipode(x: SpacePoint, xi: BoundaryDirection) -> BoundaryDirection:
@@ -281,38 +298,41 @@ def busemann(x: SpacePoint, y: SpacePoint, xi: BoundaryDirection) -> float:
     Closed form log(<x,xi>/<y,xi>); both products are negative, their ratio
     positive, and the value is independent of the scaling of xi.
     """
-    return float(
-        np.log(minkowski(x.coords, xi.coords) / minkowski(y.coords, xi.coords))
-    )
+    return float(_busemann(x.coords, y.coords, xi.coords))
 
 
-def _null_pairing(xi: BoundaryDirection, eta: BoundaryDirection) -> float:
-    # -<xi, eta> through the spatial chord; for rays normalized to first
-    # component 1 this agrees up to the null defect of the stored coords
-    # and is exactly zero for identical rays
-    delta = xi.coords[1:] - eta.coords[1:]
-    return 0.5 * float(delta @ delta)
+def _busemann(x: np.ndarray, y: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """busemann for every row of an array of rays; x and y are one point
+    each, or one point per ray."""
+    return np.log(minkowski(rays, x) / minkowski(rays, y))
+
+
+def _chord(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # half the squared spatial chord of paired rows of rays: -<a, b> for
+    # rays normalized to a leading 1, up to the null defect of the stored
+    # coords, and exactly zero on identical rays
+    delta = a[..., 1:] - b[..., 1:]
+    return 0.5 * np.sum(delta * delta, axis=-1)
 
 
 def gromov_product(x: SpacePoint, xi: BoundaryDirection, eta: BoundaryDirection) -> float:
-    """The product (xi|eta)_x >= 0; +inf when the two rays coincide."""
-    num = _null_pairing(xi, eta)
-    if num <= 0.0:
-        return math.inf
-    den = 2.0 * minkowski(x.coords, xi.coords) * minkowski(x.coords, eta.coords)
-    return -0.5 * math.log(num / den)
+    """The product (xi|eta)_x = -log rho_x(xi, eta) >= 0; +inf when the two
+    rays coincide."""
+    r = visual_metric(x, xi, eta)
+    return -math.log(r) if r > 0.0 else math.inf
 
 
 def visual_metric(x: SpacePoint, xi: BoundaryDirection, eta: BoundaryDirection) -> float:
     """rho_x(xi, eta) = exp(-(xi|eta)_x), the diameter-one visual metric at x.
 
-    Returns the distinguished value 0.0 for coincident rays.
+    Exactly 0.0 for coincident rays.
     """
-    num = _null_pairing(xi, eta)
-    if num <= 0.0:
-        return 0.0
-    den = 2.0 * minkowski(x.coords, xi.coords) * minkowski(x.coords, eta.coords)
-    return math.sqrt(num / den)
+    return float(_visual(x.coords, xi.coords, eta.coords))
+
+
+def _visual(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """visual_metric of x on paired rows of two arrays of rays."""
+    return np.sqrt(_chord(a, b) / (2.0 * minkowski(a, x) * minkowski(b, x)))
 
 
 def cross_ratio(
@@ -434,10 +454,15 @@ def boundary_geodesic(
     The parametrization is the unique unit-speed one with
     B(gamma(s), gamma(0), eta) = -s.
     """
-    a = -minkowski(xi.coords, eta.coords)
-    if a <= 0.0:
+    if not minkowski(xi.coords, eta.coords) < 0.0:
         raise ValueError("coincident ideal endpoints span no geodesic")
-    r = math.sqrt(2.0 * a)
-    b = (math.exp(-s) * xi.coords + math.exp(s) * eta.coords) / r
-    d = (-math.exp(-s) * xi.coords + math.exp(s) * eta.coords) / r
-    return _tangent(_point(b), d)
+    b, d = _geodesic_rows(xi.coords[None, :], eta.coords[None, :], np.array([s], float))
+    return _tangent(_point(b[0]), d[0])
+
+
+def _geodesic_rows(back: np.ndarray, fwd: np.ndarray, s: np.ndarray):
+    """boundary_geodesic row by row: base points and directions at
+    arclength s[i] on the geodesic from back[i] to fwd[i], not re-projected."""
+    r = np.sqrt(-2.0 * minkowski(back, fwd))[:, None]
+    em, ep = np.exp(-s)[:, None], np.exp(s)[:, None]
+    return (em * back + ep * fwd) / r, (ep * fwd - em * back) / r

@@ -180,7 +180,9 @@ def uniform_boundary_grid(n, x):
     rays = dirs + x.coords
     rays = rays / rays[:, :1]
     # x + dir cancels when dir points back past the origin from a far x; as
-    # in boundary_endpoint, renormalizing the spatial part restores the cone
+    # in boundary_endpoint, renormalizing the spatial part restores the cone.
+    # Unlike hyperboloid._endpoint_rows, only rows off the cone are touched,
+    # which keeps every bit of the grids centred at the origin
     fix = np.abs(minkowski(rays, rays)) > RENORM_TOL
     rays[fix, 1:] /= np.linalg.norm(rays[fix, 1:], axis=1, keepdims=True)
     return DiscreteMeasure("boundary", rays, np.full(n, 1.0 / n))
@@ -226,12 +228,11 @@ def flow_project(nu, t):
 
 
 def pushforward_map(mu, f):
-    """Atomwise image of a boundary measure under a boundary map."""
+    """Image of a boundary measure under a boundary map, all atoms at once
+    through f.apply_rays."""
     if mu.kind != "boundary":
         raise ValueError("pushforward_map expects a boundary measure")
-    images = [f(mu.atom(i)) for i in range(len(mu))]
-    coords = np.stack([im.coords for im in images])
-    return DiscreteMeasure("boundary", coords, mu.weights.copy())
+    return DiscreteMeasure("boundary", f.apply_rays(mu.coords), mu.weights.copy())
 
 
 def pushforward_conjugacy(nu, phi):

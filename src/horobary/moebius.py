@@ -17,13 +17,16 @@ from .hyperboloid import (
     BoundaryDirection,
     SpacePoint,
     UnitTangent,
+    _busemann,
+    _chord,
     _direction_rows,
+    _endpoint_rows,
+    _geodesic_rows,
     _point_rows,
     _tangent_rows,
-    boundary_endpoint,
+    _visual,
     busemann,
     cross_ratio,
-    flip,
     minkowski,
     origin,
 )
@@ -39,6 +42,13 @@ def _minkowski_J(n):
     J = np.eye(n)
     J[0, 0] = -1.0
     return J
+
+
+def _lorentz_inverse(g):
+    # J g^T J, the inverse of a matrix g that preserves the Minkowski form;
+    # built per call, as storing it would add a matrix to every map kept
+    J = _minkowski_J(g.shape[0])
+    return J @ g.T @ J
 
 
 @dataclass(frozen=True)
@@ -119,35 +129,32 @@ class BoundaryMap:
 
     def inverse(self, xi):
         """Inverse evaluation; exact for the matrix, root-found for the warp."""
-        c = xi.coords
-        if self.warp is not None:
-            from scipy.optimize import brentq
-
-            target = math.atan2(c[2], c[1])
-            amp = float(np.sum(np.abs(self.warp)))
-
-            def h(t):
-                return t + float(self._warp_shift(np.array([t]))[0]) - target
-
-            # the warp moves angles by at most amp, and h is increasing
-            lo, hi = target - amp - 1e-9, target + amp + 1e-9
-            flo, fhi = h(lo), h(hi)
-            if flo > 0 or fhi < 0:
-                raise ValueError("warp inversion lost its bracket")
-            t = brentq(h, lo, hi, xtol=1e-14)
-            c = np.array([1.0, math.cos(t), math.sin(t)])
-        J = _minkowski_J(self.matrix.shape[0])
-        ginv = J @ self.matrix.T @ J
-        return BoundaryDirection(ginv @ c)
+        return BoundaryDirection(self.inverse_rays(xi.coords[None, :])[0])
 
     def inverse_rays(self, rays):
+        """Vectorized inverse map on an (m, n+1) array of null rays."""
+        rays = np.asarray(rays, float)
         if self.warp is not None:
-            return np.stack(
-                [self.inverse(BoundaryDirection(r)).coords for r in np.asarray(rays, float)]
-            )
-        J = _minkowski_J(self.matrix.shape[0])
-        out = np.asarray(rays, float) @ (J @ self.matrix.T @ J).T
+            rays = np.stack([self._unwarp(r) for r in rays])
+        out = rays @ _lorentz_inverse(self.matrix).T
         return out / out[:, :1]
+
+    def _unwarp(self, ray):
+        # the ray on the circle whose warped angle is the angle of ray
+        from scipy.optimize import brentq
+
+        target = math.atan2(ray[2], ray[1])
+        amp = float(np.sum(np.abs(self.warp)))
+
+        def h(t):
+            return t + float(self._warp_shift(np.array([t]))[0]) - target
+
+        # the warp moves angles by at most amp, and h is increasing
+        lo, hi = target - amp - 1e-9, target + amp + 1e-9
+        if h(lo) > 0 or h(hi) < 0:
+            raise ValueError("warp inversion lost its bracket")
+        t = brentq(h, lo, hi, xtol=1e-14)
+        return np.array([1.0, math.cos(t), math.sin(t)])
 
 
 @dataclass(frozen=True)
@@ -168,24 +175,11 @@ class MoebiusMetric:
         return self.f.inverse_rays(rays)
 
 
-def _chord(rays_a, rays_b):
-    # half the squared spatial chord: -<a, b> for rays normalized to a
-    # leading 1, and exactly zero on identical rays
-    delta = rays_a[..., 1:] - rays_b[..., 1:]
-    return 0.5 * np.sum(delta * delta, axis=-1)
-
-
 def metric_eval(rho, xi, eta):
     """rho(xi, eta), through stored preimages for a pushforward."""
-    return float(
-        _eval_pairs(rho, xi.coords[None, :], eta.coords[None, :])[0]
-    )
-
-
-def _eval_pairs(rho, rays_a, rays_b):
-    # visual metric of rho.x on paired rows of the preimage rays
-    a, b, x = rho._preimage_rays(rays_a), rho._preimage_rays(rays_b), rho.x.coords
-    return np.sqrt(_chord(a, b) / (2.0 * minkowski(a, x) * minkowski(b, x)))
+    a = rho._preimage_rays(xi.coords[None, :])
+    b = rho._preimage_rays(eta.coords[None, :])
+    return float(_visual(rho.x.coords, a, b)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +245,7 @@ class _ProbeFrame:
         """
         qr = -minkowski(self.rays, x)
         qp = -minkowski(self.probes[:, None], x)
+        # the visual metric of _visual, on chords computed once per frame
         ray_probe = np.sqrt(self.ray_chords / (2.0 * qr * qp))
         probe_probe = np.sqrt(self.probe_chords / (2.0 * qp[:, None] * qp[None, :]))
         return ray_probe, np.broadcast_to(probe_probe, probe_probe.shape[:2] + qr.shape)
@@ -306,27 +301,14 @@ def dM_distance(rho1, rho2, grid):
     _require_moebius(rho1.f, "d_M")
     _require_moebius(rho2.f, "d_M")
     if rho1.is_visual and rho2.is_visual:
-        logd = np.log(_rho_pairs_derivative_visual(rho1.x, rho2.x, rays))
+        logd = _busemann(rho1.x.coords, rho2.x.coords, rays)
     else:
         logd = np.log(_derivative_on_rays(rho2, rho1, rays))
     return float(np.max(np.abs(logd)))
 
 
-def _rho_pairs_derivative_visual(x, y, rays):
-    # e^{B(x, y, xi)} rowwise: the pairing ratio needs no probe points
-    return minkowski(rays, x.coords) / minkowski(rays, y.coords)
-
-
 # ---------------------------------------------------------------------------
 # geodesic conjugacy
-
-def _geodesic_rows(back, fwd, s):
-    # boundary_geodesic row by row: base points and directions at arclength
-    # s[i] on the geodesic from back[i] to fwd[i]
-    r = np.sqrt(-2.0 * minkowski(back, fwd))[:, None]
-    em, ep = np.exp(-s)[:, None], np.exp(s)[:, None]
-    return (em * back + ep * fwd) / r, (ep * fwd - em * back) / r
-
 
 def _conjugate_rows(f, x, back, fwd):
     """Conjugated tangents of the geodesics back[i] -> fwd[i] through the
@@ -381,9 +363,8 @@ def geodesic_conjugacy(f, u):
     u.base against the local visual metric equals 1 in the forward
     direction.  This is the one-row case of conjugacy_footpoints.
     """
-    back = boundary_endpoint(flip(u)).coords[None, :]
-    fwd = boundary_endpoint(u).coords[None, :]
-    bases, tangents = _conjugate_rows(f, u.base, back, fwd)
+    x, d = u.base.coords[None, :], u.dir[None, :]
+    bases, tangents = _conjugate_rows(f, u.base, _endpoint_rows(x, -d), _endpoint_rows(x, d))
     return UnitTangent(SpacePoint(bases[0]), tangents[0])
 
 
@@ -396,11 +377,7 @@ def conjugacy_footpoints(f, x, grid):
     geodesic_conjugacy; the measure validates the rows all at once.
     """
     rays_fwd = grid.coords
-    # backward endpoints of the rays x -> xi
-    back = x.coords - _direction_rows(x.coords, rays_fwd)
-    back = back / back[:, :1]
-    # same cancellation as in boundary_endpoint: restore the null cone
-    back[:, 1:] /= np.linalg.norm(back[:, 1:], axis=1, keepdims=True)
+    back = _endpoint_rows(x.coords, -_direction_rows(x.coords, rays_fwd))
     bases, tangents = _conjugate_rows(f, x, back, rays_fwd)
     return DiscreteMeasure("tangent", bases, grid.weights, tangents)
 
@@ -438,7 +415,7 @@ def nearest_visual_projection(rho, cfg=None, grid_n=360):
     E = tangent_basis(base)
     if rho.is_visual:
         def log_derivative(z):
-            return np.log(_rho_pairs_derivative_visual(rho.x, z, rays))
+            return _busemann(rho.x.coords, z.coords, rays)
     else:
         fixed = _metric_separations(rho, rays, _probe_rays(dim))
         visual = _ProbeFrame(rays, _probe_rays(dim))

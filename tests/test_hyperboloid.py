@@ -82,6 +82,26 @@ def test_unit_tangent_validation():
         UnitTangent(o, [1.0, 1.0, 0.0])
 
 
+FAR = [math.cosh(1.0), math.sinh(1.0), 0.0]
+NON_FINITE = {
+    "point-nan": lambda: SpacePoint([math.nan, math.nan, math.nan]),
+    "point-inf-inf": lambda: SpacePoint([math.inf, math.inf, 0.0]),
+    "point-inf": lambda: SpacePoint([math.inf, 0.0, 0.0]),
+    "ray-nan": lambda: BoundaryDirection([1.0, math.nan, 0.0]),
+    "ray-inf": lambda: BoundaryDirection([math.inf, 1.0, 0.0]),
+    "tangent-nan": lambda: UnitTangent(origin(2), [0.0, math.nan, 0.0]),
+    "tangent-inf": lambda: UnitTangent(SpacePoint(FAR), [0.0, math.inf, 0.0]),
+}
+
+
+@pytest.mark.parametrize("build", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_typed_values_reject_nan_and_inf(build):
+    # NaN fails every comparison of the checks, and an infinite entry would
+    # otherwise meet the relative tolerances
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # distance and geodesics
 

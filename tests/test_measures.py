@@ -26,6 +26,7 @@ from horobary.measures import (
     uniform_boundary_grid,
     write_csv,
 )
+from horobary.moebius import BoundaryMap
 from horobary.sampling import random_boundary_direction, random_space_point
 
 
@@ -256,14 +257,11 @@ def test_flow_project_semigroup():
 
 def test_pushforward_map_identity_and_rotation():
     mu = uniform_boundary_grid(4, origin(2))
-    same = pushforward_map(mu, lambda xi: xi)
+    same = pushforward_map(mu, BoundaryMap.identity(2))
     np.testing.assert_array_equal(same.coords, mu.coords)
     np.testing.assert_array_equal(same.weights, mu.weights)
 
-    def quarter_turn(xi):
-        c = xi.coords
-        return BoundaryDirection([c[0], -c[2], c[1]])
-
+    quarter_turn = BoundaryMap("lorentz", [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
     rotated = pushforward_map(mu, quarter_turn)
     orig = {tuple(np.round(c, 12)) for c in mu.coords}
     img = {tuple(np.round(c, 12)) for c in rotated.coords}
