@@ -33,6 +33,7 @@ STEP_CLAMP = 20.0       # keeps cosh of the step length in floating range
 ESCAPE_HEIGHT = 1e6     # iterate height where tangent arithmetic degrades;
                         # reached only when the energy is unbounded below
 ENDPOINT_TOL = 1e-10
+LADDER = tuple(float(2 ** k) for k in range(6, 15))   # minimize's warm rungs
 CONTINUATION_PS = tuple(float(2 ** k) for k in range(1, 15))
 
 
@@ -301,8 +302,15 @@ def _polish_minimax(A, const, z, grad_tol, max_iters=100):
 
 
 def minimize(spec, cfg=None):
-    """Minimize the energy; p = infinity runs warm-started continuation in
-    p followed by the active-set polish."""
+    """Minimize the energy; exponents above 64 climb a warm-started ladder.
+
+    One rung loop serves every p: each rung q < p of LADDER = 64, 128, ...,
+    2^14 is a Newton solve to max(grad_tol, 1e-9) from the last minimizer,
+    the first from the start point.  Finite p ends with a Newton solve at p,
+    p = infinity with the active-set polish.  p <= 64 takes no rung, so the
+    cold solves that callers make there keep their bits; near 2^14 a cold
+    start can stall.  iterations is summed over the rungs and the last solve.
+    """
     cfg = cfg or SolverConfig()
     A, const, logw = _atom_kernel(spec)
     if spec.mode == BUSEMANN_MODE and _endpoints_coincide(spec.data):
@@ -312,19 +320,20 @@ def minimize(spec, cfg=None):
         )
     z = _auto_initial(spec) if cfg.initial is None else cfg.initial.coords
     p = spec.exponent
-    if math.isinf(p):
-        total = 0
-        for pk in CONTINUATION_PS:
-            z, _, its = _newton(A, const, logw, pk, z, max(cfg.grad_tol, 1e-9), cfg.max_iters)
-            total += its
-        z, grad_norm, its = _polish_minimax(A, const, z, cfg.grad_tol)
+    total = 0
+    for q in LADDER:
+        if q >= p:
+            break
+        z, _, its = _newton(A, const, logw, q, z, max(cfg.grad_tol, 1e-9), cfg.max_iters)
         total += its
-        value = _objective_value(A, const, logw, p, z)
+    if math.isinf(p):
+        z, grad_norm, its = _polish_minimax(A, const, z, cfg.grad_tol)
         converged = grad_norm <= EPS_ACTIVE
-        return SolverResult(SpacePoint(z), value, grad_norm, total, converged)
-    z, grad_norm, its = _newton(A, const, logw, p, z, cfg.grad_tol, cfg.max_iters)
+    else:
+        z, grad_norm, its = _newton(A, const, logw, p, z, cfg.grad_tol, cfg.max_iters)
+        converged = grad_norm <= cfg.grad_tol
     value = _objective_value(A, const, logw, p, z)
-    return SolverResult(SpacePoint(z), value, grad_norm, its, grad_norm <= cfg.grad_tol)
+    return SolverResult(SpacePoint(z), value, grad_norm, total + its, converged)
 
 
 def circumcenter(points, cfg=None):

@@ -15,9 +15,7 @@ import numpy as np
 
 from .barycenter import (
     BUSEMANN_MODE,
-    CONTINUATION_PS,
     ObjectiveSpec,
-    SolverConfig,
     _lse,
     _pairings,
     minimize,
@@ -154,19 +152,10 @@ def _image_dirs(ctx, z):
 # the extension maps
 
 def extension_result(ctx, x, p):
-    """Full solver outcome for the exponent-p extension at x.
-
-    Large finite exponents are reached by warm-started doubling; the
-    convergence flag of the returned result is authoritative.
-    """
+    """Full solver outcome for the exponent-p extension at x; the
+    convergence flag of the returned result is authoritative."""
     nu = conjugated_measure(ctx, x)
-    if math.isfinite(p) and p > 64.0:
-        cfg = SolverConfig()
-        for q in [q for q in CONTINUATION_PS if q < p] + [float(p)]:
-            res = minimize(ObjectiveSpec(q, BUSEMANN_MODE, nu), cfg)
-            cfg = SolverConfig(initial=res.minimizer)
-        return res
-    return minimize(ObjectiveSpec(p, BUSEMANN_MODE, nu), SolverConfig())
+    return minimize(ObjectiveSpec(p, BUSEMANN_MODE, nu))
 
 
 def p_extension(ctx, x, p):

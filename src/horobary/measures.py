@@ -22,6 +22,7 @@ from .hyperboloid import (
     UnitTangent,
     _direction_rows,
     _sq_rows,
+    _tangent_rows,
     minkowski,
     tangent_basis,
 )
@@ -214,8 +215,9 @@ def pushforward_qx(mu, x):
     all atoms at once."""
     if mu.kind != "boundary":
         raise ValueError("pushforward_qx expects a boundary measure")
-    dirs = _direction_rows(x.coords, mu.coords)
-    coords = np.broadcast_to(x.coords, dirs.shape).copy()
+    coords = np.broadcast_to(x.coords, mu.coords.shape).copy()
+    # far from the origin ray / -<x, ray> - x cancels; re-project as moebius does
+    dirs = _tangent_rows(coords, _direction_rows(x.coords, mu.coords))
     return DiscreteMeasure("tangent", coords, mu.weights.copy(), dirs)
 
 

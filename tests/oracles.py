@@ -11,6 +11,15 @@ import functools
 import numpy as np
 from scipy.special import logsumexp
 
+from horobary.barycenter import (
+    BUSEMANN_MODE,
+    ObjectiveSpec,
+    SolverConfig,
+    _atom_kernel,
+    _auto_initial,
+    _newton,
+)
+from horobary.extension import conjugated_measure
 from horobary.hyperboloid import (
     SpacePoint,
     boundary_endpoint,
@@ -251,3 +260,21 @@ def oracle_asymptotic_p_barycenter(bases, xi_units, weights, p, step=1e-3):
         return logsumexp(logw[:, None] + p * phi, axis=0) / p
 
     return from_disk(grid_minimize(objective, step=step))
+
+
+def doubling_extension(ctx, x, p):
+    """The exponent-p extension at x by warm-started doubling: Newton solves
+    at p = 2, 4, ..., each started from the last minimizer, then at p.
+
+    A reference for minimize's ladder from p = 64, not for the solver: every
+    rung is the library's own Newton solve, to the default tolerance and
+    iteration cap.  Returns the minimizer and whether the solve at p
+    converged.
+    """
+    spec = ObjectiveSpec(p, BUSEMANN_MODE, conjugated_measure(ctx, x))
+    A, const, logw = _atom_kernel(spec)
+    z = _auto_initial(spec)
+    cfg = SolverConfig()
+    for q in [2.0**k for k in range(1, 15) if 2.0**k < p] + [p]:
+        z, grad_norm, _ = _newton(A, const, logw, q, z, cfg.grad_tol, cfg.max_iters)
+    return SpacePoint(z), grad_norm <= cfg.grad_tol

@@ -373,6 +373,22 @@ def test_p_limit_experiment_converges():
     assert dist(SpacePoint(np.array(table.rows[-1][1])), center) < 1e-9
 
 
+@pytest.mark.parametrize("seed", [0, 1, 8, 76, 205])
+def test_p_limit_rows_obey_the_sandwich_bound(seed):
+    # E_p lies between E_inf + log(w_min) / p and E_inf, so each row's
+    # minimax energy is within log(1 / w_min) / p of the limit's; a cold
+    # Newton solve at p = 2^14 stalls 0.01-0.02 above it for seeds 8, 76, 205
+    rng = np.random.default_rng(seed)
+    nu = DiscreteMeasure.from_atoms([random_unit_tangent(rng, radius=1.0) for _ in range(5)])
+    table = p_limit_experiment(nu)
+    sup = ObjectiveSpec(math.inf, BUSEMANN_MODE, nu)
+    limit = evaluate_objective(sup, SpacePoint(np.array(table.rows[-1][1])))
+    slack = math.log(1.0 / nu.weights.min())
+    for p, coords, *_ in table.rows[:-1]:
+        gap = evaluate_objective(sup, SpacePoint(np.array(coords))) - limit
+        assert gap <= slack / p + 1e-12, f"p={p}"
+
+
 def test_experiment_table_csv(tmp_path):
     t = ExperimentTable(parameter="t")
     t.rows.append((0.0, (1.0, 0.0, 0.0), 0.0, 1e-12, 3))

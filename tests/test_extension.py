@@ -39,6 +39,8 @@ from horobary.extension import (
 )
 from horobary.sampling import random_lorentz, random_space_point
 
+import oracles
+
 O = origin(2)
 
 
@@ -172,6 +174,24 @@ class TestPExtension:
         for p in (1.0, 2.0, 8.0, 512.0):
             assert dist(p_extension(ctx, O, p), go) < 1e-9
         assert dist(circumcenter_extension(ctx, O), go) < 1e-9
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_large_exponents_match_the_doubling_walk(self, dim):
+        # minimize's own ladder from p = 64 lands where the warm-started
+        # doubling from p = 2 does
+        rng = np.random.default_rng([61, dim])
+        ctx = ExtensionContext(
+            BoundaryMap("lorentz", random_lorentz(rng, dim=dim)),
+            uniform_boundary_grid(64, origin(dim)),
+            ModelConfig(dim),
+        )
+        for _ in range(3):
+            x = random_space_point(rng, dim=dim, radius=1.5)
+            for p in (128.0, 1024.0, 2.0**14):
+                res = extension_result(ctx, x, p)
+                ref, ref_converged = oracles.doubling_extension(ctx, x, p)
+                assert res.converged and ref_converged
+                assert dist(res.minimizer, ref) <= 1e-9
 
     def test_reported_convergence(self):
         ctx = lorentz_ctx(3)

@@ -215,6 +215,19 @@ def test_uniform_grid_far_from_the_origin(dim):
         np.testing.assert_allclose(rays, ends, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_pushforward_qx_far_from_the_origin(dim):
+    # ray / -<x, ray> - x cancels far out; the directions must still pass the
+    # unit-tangent check and point at the grid's rays
+    rng = np.random.default_rng([8, dim])
+    for _ in range(40):
+        x = random_space_point(rng, dim=dim, radius=8.0)
+        mu = uniform_boundary_grid(64, x)
+        nu = pushforward_qx(mu, x)
+        ends = [boundary_endpoint(u).coords for u in nu.atoms]
+        np.testing.assert_allclose(ends, mu.coords, rtol=0, atol=1e-9)
+
+
 def test_pushforward_qx_round_trip():
     rng = np.random.default_rng(3)
     x = random_space_point(rng)

@@ -1,5 +1,6 @@
 """Property tests of the closed forms: invariance under Lorentz maps and
-under positive rescaling of every boundary input.
+under positive rescaling of every boundary input.  A last property checks
+the large-exponent solves against the p = infinity limit.
 
 Cases are drawn in dims 2-4 with points up to distance 8 from the origin,
 where <x, xi> loses digits to cancellation at x0 ~ cosh(8).  Each bound is
@@ -8,10 +9,13 @@ construction (seeds 0-2999 in each dimension, log-uniform scales in
 [1e-3, 1e3]); the measured worst is given beside each bound.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horobary.barycenter import BUSEMANN_MODE, ObjectiveSpec, evaluate_objective, minimize
 from horobary.hyperboloid import (
     BoundaryDirection,
     SpacePoint,
@@ -27,7 +31,13 @@ from horobary.hyperboloid import (
     tangent_basis,
     visual_metric,
 )
-from horobary.sampling import random_boundary_direction, random_lorentz, random_space_point
+from horobary.measures import DiscreteMeasure
+from horobary.sampling import (
+    random_boundary_direction,
+    random_lorentz,
+    random_space_point,
+    random_unit_tangent,
+)
 
 RADIUS = 8.0
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -84,3 +94,23 @@ def test_boundary_inputs_are_scale_invariant(seed, dim, factors):
     a, b = boundary_geodesic(sxi, seta, 0.4), boundary_geodesic(xi, eta, 0.4)
     for got, want in ((a.base.coords, b.base.coords), (a.dir, b.dir)):
         assert np.max(np.abs(got - want)) <= 2e-10 * np.max(np.abs(want))  # 1.2e-11
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    dim=dims,
+    weights=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=8),
+    p=st.sampled_from([128.0, 1024.0, 2.0**14]),
+)
+def test_large_exponents_land_within_the_sandwich_bound(seed, dim, weights, p):
+    # max_i phi_i + log(w_min) / p <= E_p <= max_i phi_i, so the minimax
+    # energy of the p-minimizer exceeds the limit's by at most log(1/w_min)/p
+    rng = np.random.default_rng([seed, dim])
+    atoms = [random_unit_tangent(rng, dim, radius=1.0) for _ in weights]
+    nu = DiscreteMeasure.from_atoms(atoms, np.array(weights) / sum(weights))
+    res = minimize(ObjectiveSpec(p, BUSEMANN_MODE, nu))
+    assert res.converged
+    sup = ObjectiveSpec(math.inf, BUSEMANN_MODE, nu)
+    gap = evaluate_objective(sup, res.minimizer) - minimize(sup).value
+    assert gap <= math.log(1.0 / nu.weights.min()) / p + 1e-12
