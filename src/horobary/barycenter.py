@@ -9,8 +9,9 @@ Minkowski pairing -<z, a_i> against a fixed vector a_i,
 
 so every energy here is a log-sum-exp of log-linear terms.  The gradient is
 grad_i = z - a_i / c_i and the Hessian of each term is exactly
-metric - grad_i (x) grad_i, which makes damped Newton steps cheap and the
-p = infinity polish a small KKT solve.
+metric - grad_i (x) grad_i, which makes damped Newton steps cheap.  At
+p = infinity, log max_i -<z, b_i> with b_i = e^const_i a_i is one convex
+program, solved by an interior point whose duality gap certifies it.
 """
 
 import math
@@ -25,7 +26,7 @@ from .measures import DiscreteMeasure, write_csv
 COSH_MODE = "cosh-distance"
 BUSEMANN_MODE = "exp-busemann"
 
-EPS_ACTIVE = 1e-6       # active-set threshold for the minimax polish
+CENTERING = 10.0        # barrier weight growth per interior-point step
 ARMIJO = 1e-4
 SLOPE_FLOOR = 1e-12     # a predicted decrease below this is lost to rounding
                         # in energy values of order one
@@ -131,8 +132,7 @@ def _log_terms(A, const, logw, p, z):
 def _objective_value(A, const, logw, p, z):
     if math.isinf(p):
         c = _pairings(A, z)
-        # a pairing that lost its sign is a rounding artifact of a trial point
-        # far outside the working region; an infinite value rejects it
+        # a pairing that lost its sign to rounding far out reads as infinite
         return math.inf if c.min() <= 0.0 else float((np.log(c) + const).max())
     terms = _log_terms(A, const, logw, p, z)
     return math.inf if terms is None else terms[2] / p
@@ -223,93 +223,82 @@ def _newton(A, const, logw, p, z, grad_tol, max_iters):
         it += 1
 
 
-def _polish_minimax(A, const, z, grad_tol, max_iters=100):
-    """Active-set KKT Newton for the p = infinity energy max_i log phi_i.
-
-    Stationarity is the subgradient condition: some convex combination of
-    the active gradients vanishes.  Unknowns are the tangent step, the
-    multipliers on the active set, and the common max value m.
-    """
-    n = z.shape[0] - 1
-    c = _pairings(A, z)
-    phi = np.log(c) + const
-    m = float(phi.max())
-    # cast a wide net at first: the continuation warm start leaves the truly
-    # active values spread by ~log(atoms)/p_max, and spurious members exit
-    # through negative multipliers
-    active = np.flatnonzero(phi >= m - max(EPS_ACTIVE, 1e-3))
-    lam = np.full(active.size, 1.0 / active.size)
-    iters = 0
+def _minimax(B, z, weights, grad_tol, max_iters):
+    """Primal-dual interior point (Boyd & Vandenberghe 11.7) for the p = inf
+    energy log max_i c_i(z), c_i = -<z, b_i>: with w = z / t, minimize the
+    convex -log |w|_L subject to -<w, b_i> <= 1, on (n+1) x (n+1) systems.
+    The multipliers, normalized to lambda, give W = sum_i lambda_i b_i and
+    the duality gap log max_i c_i(z) - log |W|_L >= E(z) - min E; a start
+    whose gap with lambda = weights meets grad_tol is returned as it is.
+    Returns (z, the lambda-weighted subgradient norm, iterations, gap)."""
+    # solve in the frame where the start is the origin: there every pairing
+    # is a sum of terms of its own size, and the slacks keep their digits
+    start, E = z, _basis(z)
+    sig = np.append(1.0, -np.ones(len(z) - 1))
+    B = B @ (np.vstack([z, -E]) * sig).T
+    D = B * sig                             # D @ w = -<w, b_i>
+    z = np.eye(len(sig))[0]
+    w = z / (2.0 * (D @ z).max())           # every slack starts at 1/2 or more
+    y = weights.copy()
+    it, last = 0, 0.0
     while True:
-        E = _basis(z)
-        G = _basis_coords(z[None, :] - A[active] / c[active, None], E)
-        if iters == max_iters:
+        c = D @ z
+        lam = y / y.sum()
+        G = _basis_coords(z[None, :] - B / c[:, None], _basis(z))
+        lc = lam * c
+        rho = _norm(lc @ G) / lc.sum()
+        # log max c - log |W|_L, with W split along z and its tangent space
+        gap = math.log(c.max() / lc.sum()) - 0.5 * math.log1p(-rho * rho) if rho < 1 else math.inf
+        # past the tolerance, go on while each step still halves the gap
+        if gap <= grad_tol and (gap > 0.5 * last or gap <= 1e-3 * grad_tol) or it == max_iters:
             break
-        iters += 1
-        k = active.size
-        r1 = G.T @ lam
-        r2 = phi[active] - m
-        r3 = lam.sum() - 1.0
-        grad_norm = _norm(r1)
-        if grad_norm <= grad_tol and np.max(np.abs(r2)) <= 1e-12 and abs(r3) <= 1e-12:
-            # drop any negative-weight stragglers from the certificate
-            if k > 1 and np.min(lam) < -1e-12:
-                drop = int(np.argmin(lam))
-                active = np.delete(active, drop)
-                lam = np.delete(lam, drop)
-                lam = np.maximum(lam, 0.0)
-                lam /= lam.sum()
-                continue
+        last = gap
+        s = 1.0 - D @ w
+        t = CENTERING * len(B) / (s @ y)
+        Mw = sig * w
+        q = w @ Mw
+        H = np.outer(Mw, Mw) * (2.0 / q**2) - np.diag(sig / q) + (D.T * (y / s)) @ D
+        try:
+            dw = np.linalg.solve(H, Mw / q - (D.T @ (1.0 / s)) / t)
+        except np.linalg.LinAlgError:
             break
-        M = lam.sum() * np.eye(n) - (G * lam[:, None]).T @ G
-        KKT = np.zeros((n + k + 1, n + k + 1))
-        KKT[:n, :n] = M
-        KKT[:n, n : n + k] = G.T
-        KKT[n : n + k, :n] = G
-        KKT[n : n + k, n + k] = -1.0
-        KKT[n + k, n : n + k] = 1.0
-        rhs = np.concatenate([-r1, -r2, [-r3]])
-        sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
-        delta, dlam, dm = sol[:n], sol[n : n + k], sol[n + k]
-        norm = _norm(delta)
-        if norm > 1.0:
-            # polish steps are corrections; a long one means a misidentified
-            # active set, and shrinking it lets the multiplier signs sort it out
-            delta /= norm
-        z = _on_sheet(_exp_coords(z, delta @ E))
-        lam = lam + dlam
-        m = m + float(dm)
-        if active.size > 1 and np.min(lam) < -1e-12:
-            drop = int(np.argmin(lam))
-            active = np.delete(active, drop)
-            lam = np.delete(lam, drop)
-            total = lam.sum()
-            lam = np.full(active.size, 1.0 / active.size) if total <= 0 else lam / total
-        c = _pairings(A, z)
-        phi = np.log(c) + const
-        violators = np.flatnonzero(phi > m + EPS_ACTIVE)
-        fresh = np.setdiff1d(violators, active)
-        if fresh.size:
-            active = np.concatenate([active, fresh])
-            lam = np.concatenate([lam, np.zeros(fresh.size)])
-            lam = np.maximum(lam, 1e-16)
-            lam /= lam.sum()
-            m = float(np.max(phi))
-    # the certificate is the clipped convex combination at the exit point
-    lam = np.maximum(lam, 0.0)
-    lam /= lam.sum()
-    return z, _norm(G.T @ lam), iters
+        dy = y * (D @ dw) / s - y + 1.0 / (t * s)
+        res = _kkt_residual(D, sig, w, y, s, t)
+        neg = dy < 0
+        step = min(1.0, 0.99 * float(np.min(-y[neg] / dy[neg]))) if neg.any() else 1.0
+        for _ in range(60):
+            w_new, y_new = w + step * dw, y + step * dy
+            s_new, q_new = 1.0 - D @ w_new, w_new @ (sig * w_new)
+            if s_new.min() > 0.0 and w_new[0] > 0.0 < q_new and (
+                _kkt_residual(D, sig, w_new, y_new, s_new, t) <= (1.0 - 0.01 * step) * res
+            ):
+                break
+            step *= 0.5
+        else:
+            break
+        w, y, z = w_new, y_new, w_new / math.sqrt(q_new)
+        it += 1
+    z = start if it == 0 else z[0] * start + z[1:] @ E
+    return z, _norm(lam @ G), it, gap
+
+
+def _kkt_residual(D, sig, w, y, s, t):
+    # Boyd's r_t: the dual residual grad f0 + D^T y and the centrality y s - 1/t
+    Mw = sig * w
+    return math.hypot(_norm(D.T @ y - Mw / (w @ Mw)), _norm(y * s - 1.0 / t))
 
 
 def minimize(spec, cfg=None):
-    """Minimize the energy; exponents above 64 climb a warm-started ladder.
+    """Minimize the energy; finite exponents above 64 climb a warm-started
+    ladder, and p = infinity is one interior-point solve.
 
-    One rung loop serves every p: each rung q < p of LADDER = 64, 128, ...,
-    2^14 is a Newton solve to max(grad_tol, 1e-9) from the last minimizer,
-    the first from the start point.  Finite p ends with a Newton solve at p,
-    p = infinity with the active-set polish.  p <= 64 takes no rung, so the
-    cold solves that callers make there keep their bits; near 2^14 a cold
-    start can stall.  iterations is summed over the rungs and the last solve.
+    Each rung q < p of LADDER = 64, 128, ..., 2^14 is a Newton solve to
+    max(grad_tol, 1e-9) from the last minimizer, the first from the start
+    point, and a Newton solve at p ends the climb.  p <= 64 takes no rung,
+    so the cold solves that callers make there keep their bits; near 2^14 a
+    cold start can stall.  iterations is summed over the rungs and the last
+    solve.  At p = infinity converged means a duality gap, which bounds the
+    energy above its minimum, of at most grad_tol.
     """
     cfg = cfg or SolverConfig()
     A, const, logw = _atom_kernel(spec)
@@ -320,20 +309,22 @@ def minimize(spec, cfg=None):
         )
     z = _auto_initial(spec) if cfg.initial is None else cfg.initial.coords
     p = spec.exponent
-    total = 0
-    for q in LADDER:
-        if q >= p:
-            break
-        z, _, its = _newton(A, const, logw, q, z, max(cfg.grad_tol, 1e-9), cfg.max_iters)
-        total += its
     if math.isinf(p):
-        z, grad_norm, its = _polish_minimax(A, const, z, cfg.grad_tol)
-        converged = grad_norm <= EPS_ACTIVE
+        B = A * np.exp(const)[:, None]          # the rows b_i
+        z, grad_norm, its, gap = _minimax(B, z, spec.data.weights, cfg.grad_tol, cfg.max_iters)
+        converged = gap <= cfg.grad_tol
     else:
+        total = 0
+        for q in LADDER:
+            if q >= p:
+                break
+            z, _, its = _newton(A, const, logw, q, z, max(cfg.grad_tol, 1e-9), cfg.max_iters)
+            total += its
         z, grad_norm, its = _newton(A, const, logw, p, z, cfg.grad_tol, cfg.max_iters)
+        its += total
         converged = grad_norm <= cfg.grad_tol
     value = _objective_value(A, const, logw, p, z)
-    return SolverResult(SpacePoint(z), value, grad_norm, total + its, converged)
+    return SolverResult(SpacePoint(z), value, grad_norm, its, converged)
 
 
 def circumcenter(points, cfg=None):

@@ -161,19 +161,15 @@ def _config_hash(cfg):
 # ---------------------------------------------------------------------------
 # report plumbing
 
-def _write_json(path, obj):
-    # numpy scalars and arrays are written as the Python values they hold
-    text = json.dumps(obj, indent=2, sort_keys=True, default=lambda v: v.tolist())
-    write_atomic(path, text + "\n")
-
-
 def _report(cfg, name, summary, header=None, rows=None):
     """Write <name>.json, the run header plus the summary, and <name>.csv
     when there is a table."""
     if header is not None:
         write_csv(os.path.join(cfg.out, f"{name}.csv"), header, rows)
-    run_header = {"command": cfg.command, "config_hash": _config_hash(cfg), "seed": cfg.seed}
-    _write_json(os.path.join(cfg.out, f"{name}.json"), {**run_header, **summary})
+    record = {"command": cfg.command, "config_hash": _config_hash(cfg), "seed": cfg.seed, **summary}
+    # numpy scalars and arrays are written as the Python values they hold
+    text = json.dumps(record, indent=2, sort_keys=True, default=lambda v: v.tolist())
+    write_atomic(os.path.join(cfg.out, f"{name}.json"), text + "\n")
 
 
 def _columns(prefix, cfg):
@@ -232,8 +228,7 @@ def _case_rngs(cfg, n):
 
 
 def _dump_failure(cfg, payload):
-    path = os.path.join(cfg.out, "nonconvergence.json")
-    _write_json(path, {"command": cfg.command, "config_hash": _config_hash(cfg), **payload})
+    _report(cfg, "nonconvergence", payload)
     return EXIT_NONCONVERGENCE
 
 

@@ -9,13 +9,14 @@ that make that limit work.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .barycenter import (
     BUSEMANN_MODE,
     ObjectiveSpec,
+    _basis_coords,
     _lse,
     _pairings,
     minimize,
@@ -153,9 +154,15 @@ def _image_dirs(ctx, z):
 
 def extension_result(ctx, x, p):
     """Full solver outcome for the exponent-p extension at x; the
-    convergence flag of the returned result is authoritative."""
-    nu = conjugated_measure(ctx, x)
-    return minimize(ObjectiveSpec(p, BUSEMANN_MODE, nu))
+    convergence flag of the returned result is authoritative.  At p = inf
+    it is also False where 0 lies outside the hull of the directions
+    x -> xi_i, since the discrete minimax then misses the extension."""
+    res = minimize(ObjectiveSpec(p, BUSEMANN_MODE, conjugated_measure(ctx, x)))
+    if math.isinf(p) and res.converged:
+        coords = _basis_coords(_dirs_to(x, ctx.base_measure.coords), tangent_basis(x))
+        if np.linalg.norm(_min_norm_point(coords)[0]) > HULL_SLACK:
+            res = replace(res, converged=False)
+    return res
 
 
 def p_extension(ctx, x, p):
@@ -168,13 +175,10 @@ def circumcenter_extension(ctx, x):
 
     The minimax objective depends only on the support of the base measure,
     so the quality of the discrete answer is set by how densely that support
-    covers the boundary as seen from x.  A grid that leaves an angular gap
-    wider than a half turn around the would-be center lets the discrete
-    objective dip below its continuum value and pulls the minimizer into the
-    gap.  In dimension 2, grids of 64 points keep points within distance
-    three of the grid's basepoint safe.  In dimension 3 they do not: at 64
-    points, points from about distance two on can miss while still reporting
-    convergence, and finer grids of 128 and 256 points only make it rarer.
+    covers the boundary as seen from x.  Where the grid leaves a gap wider
+    than a half turn, 0 lies outside the hull of the directions x -> xi_i and
+    the minimizer drifts into the gap; extension_result reports such a point
+    as not converged, while this function returns the discrete minimizer.
     """
     return extension_result(ctx, x, math.inf).minimizer
 
@@ -276,10 +280,7 @@ def hull_certificate(aset):
     angle with every member direction.
     """
     E = tangent_basis(aset.candidate)
-    J = np.ones(E.shape[1])
-    J[0] = -1.0
-    coords = aset.image_dirs @ (J[:, None] * E.T)
-    g, lam = _min_norm_point(coords)
+    g, lam = _min_norm_point(_basis_coords(aset.image_dirs, E))
     nrm = float(np.linalg.norm(g))
     if nrm <= HULL_SLACK:
         return HullCertificate(True, lam, nrm, None)

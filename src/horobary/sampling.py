@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .hyperboloid import (
     BoundaryDirection,
@@ -76,4 +75,17 @@ def random_lorentz(
     g[1:, 0] = b
     a = rng.uniform(-rotation, rotation, size=(n, n))
     g[1:, 1:] = a - a.T
-    return expm(g)
+    return _expm(g)
+
+
+def _expm(g: np.ndarray) -> np.ndarray:
+    # exp(g) by scaling and squaring: 18 Taylor terms on g / 2^s, whose
+    # row-sum norm is at most 1/2, then s squarings
+    s = int(np.log2(max(np.abs(g).sum(axis=1).max(), 1.0))) + 2
+    term = out = np.eye(len(g))
+    for k in range(1, 19):
+        term = term @ g / (k * 2.0**s)
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out

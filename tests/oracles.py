@@ -212,21 +212,15 @@ def oracle_p_barycenter(atoms, weights, p, step=1e-3):
     return from_disk(grid_minimize(objective, step=step))
 
 
-def oracle_circumcenter(atoms, step=1e-3):
-    """Brute-force minimax-distance point on the disk.
+def _disk_minimax(objective, step):
+    """argmin of a max-type disk objective: grid search, then a simplex.
 
-    The max-distance landscape is a kinked valley, quadratically flat along
-    its floor, so a shrinking-window grid alone can stall several grid cells
+    The max landscape is a kinked valley, quadratically flat along its
+    floor, so a shrinking-window grid alone can stall several grid cells
     along the valley; a derivative-free simplex started from the grid answer
     finishes the localization.
     """
     from scipy.optimize import minimize as simplex
-
-    disk_atoms = np.array([to_disk(a) for a in atoms])
-
-    def objective(grid):
-        gap = 1.0 - np.sum(grid**2, axis=-1)
-        return np.max(np.stack([disk_distance(grid, a, gap) for a in disk_atoms]), axis=0)
 
     coarse = grid_minimize(objective, step=step)
 
@@ -242,6 +236,30 @@ def oracle_circumcenter(atoms, step=1e-3):
         options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
     )
     return from_disk(res.x)
+
+
+def oracle_circumcenter(atoms, step=1e-3):
+    """Brute-force minimax-distance point on the disk."""
+    disk_atoms = np.array([to_disk(a) for a in atoms])
+
+    def objective(grid):
+        gap = 1.0 - np.sum(grid**2, axis=-1)
+        return np.max(np.stack([disk_distance(grid, a, gap) for a in disk_atoms]), axis=0)
+
+    return _disk_minimax(objective, step)
+
+
+def oracle_asymptotic_circumcenter(bases, xi_units, step=2e-3):
+    """Brute-force minimizer of the sup of horospherical displacements on
+    the disk, for atoms given as in oracle_asymptotic_p_barycenter."""
+    disk_bases = np.array([to_disk(y) for y in bases])
+
+    def objective(grid):
+        return np.max(
+            np.stack([disk_busemann(grid, y, u) for y, u in zip(disk_bases, xi_units)]), axis=0
+        )
+
+    return _disk_minimax(objective, step)
 
 
 def oracle_asymptotic_p_barycenter(bases, xi_units, weights, p, step=1e-3):

@@ -297,6 +297,48 @@ def test_asymptotic_circumcenter_subgradient_certificate():
     assert res.grad_norm <= 1e-6
 
 
+@pytest.mark.parametrize("seed", [76, 115])
+def test_asymptotic_circumcenter_reaches_the_disk_oracle(seed):
+    # the active-set polish that preceded the interior-point solve reported
+    # convergence 2.1e-4 and 5.4e-4 from these minimax points
+    rng = np.random.default_rng(seed)
+    atoms = [random_unit_tangent(rng, dim=2, radius=1.0) for _ in range(8)]
+    spec = ObjectiveSpec(math.inf, BUSEMANN_MODE, DiscreteMeasure.from_atoms(atoms))
+    res = minimize(spec)
+    ref = oracles.oracle_asymptotic_circumcenter(
+        [u.base for u in atoms], [boundary_endpoint(u).unit for u in atoms]
+    )
+    assert res.converged
+    assert res.value <= evaluate_objective(spec, ref) + 1e-12
+    assert dist(res.minimizer, ref) < 1e-6
+
+
+@pytest.mark.parametrize("mode", [COSH_MODE, BUSEMANN_MODE])
+def test_minimax_gap_certifies_the_energy(mode):
+    # converged means the duality gap is at most grad_tol, which bounds the
+    # energy above its minimum; a capped solve reports its gap honestly
+    rng = np.random.default_rng(59)
+    if mode == COSH_MODE:
+        mu = space_measure([random_space_point(rng, dim=3) for _ in range(6)])
+    else:
+        mu = DiscreteMeasure.from_atoms([random_unit_tangent(rng, dim=3, radius=1.0) for _ in range(6)])
+    spec = ObjectiveSpec(math.inf, mode, mu)
+    best = minimize(spec, SolverConfig(grad_tol=1e-12))
+    res = minimize(spec, SolverConfig(grad_tol=1e-6))
+    assert res.converged and best.converged
+    assert 0.0 <= res.value - best.value <= 1e-6 + 1e-12
+    capped = minimize(spec, SolverConfig(max_iters=3))
+    assert not capped.converged and capped.iterations == 3
+
+
+def test_certified_start_is_returned_as_is():
+    # the data weights already balance the even measure at its center
+    nu = uniform_tangent_sphere(16, origin(2))
+    res = minimize(ObjectiveSpec(math.inf, BUSEMANN_MODE, nu))
+    assert res.converged and res.iterations == 0
+    assert np.array_equal(res.minimizer.coords, origin(2).coords)
+
+
 # ---------------------------------------------------------------------------
 # solver invariants
 

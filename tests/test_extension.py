@@ -260,6 +260,74 @@ class TestCircumcenter:
         assert dist(circumcenter_extension(dense, far), gx) < 1e-9
 
 
+
+class TestMinimaxRegressions:
+    # the dim-3 inputs the p = inf benchmark workload keeps as its named
+    # fault: one map per grid from default_rng([7, grid]) and the points
+    # random_space_point(default_rng([7, grid, k]), 3); the active-set
+    # polish that preceded the interior-point solve ended them with
+    # converged=False, though its answers were g x
+    FAULT_POINTS = {
+        128: (4, 10, 16, 20, 21, 22, 24, 27, 30, 35, 48, 51, 52, 53, 58, 65, 67, 71, 76,
+              80, 81, 85, 88, 91, 95, 98, 101, 103, 106, 114, 120, 121, 124, 133, 134,
+              136, 138, 141, 142, 143),
+        256: (0, 1, 4, 7, 8, 13, 15, 16, 17, 18, 19, 20, 24, 27, 28, 32, 34, 35, 36, 37,
+              40, 41, 43, 46, 47, 48, 50, 53, 55, 56, 58, 59, 60, 64, 65, 66, 68, 69, 70,
+              72),
+    }
+    # from this one 0 lies outside the hull of the grid's source directions,
+    # so the discrete minimax is not g x and the point must be flagged
+    GAPPED = (128, 30)
+
+    @pytest.mark.parametrize("grid", [128, 256])
+    def test_fault_inputs_converge_to_the_isometry(self, grid):
+        g = random_lorentz(np.random.default_rng([7, grid]), dim=3)
+        ctx = ExtensionContext(
+            BoundaryMap("lorentz", g), uniform_boundary_grid(grid, origin(3)), ModelConfig(3)
+        )
+        for k in self.FAULT_POINTS[grid]:
+            x = random_space_point(np.random.default_rng([7, grid, k]), dim=3)
+            res = extension_result(ctx, x, math.inf)
+            if (grid, k) == self.GAPPED:
+                assert not res.converged
+                assert dist(res.minimizer, apply_matrix(g, x)) > 1e-3
+            else:
+                assert res.converged, k
+                assert dist(res.minimizer, apply_matrix(g, x)) <= 1e-8, k
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_dense_grid_solves_stay_small(self, dim):
+        # at grid 1024 the active-set polish solved a KKT system as large as
+        # the grid: 43 s for one dim-2 point and 35 s, unconverged, in dim 3
+        rng = np.random.default_rng([1024, dim])
+        g = random_lorentz(rng, dim=dim)
+        ctx = ExtensionContext(
+            BoundaryMap("lorentz", g), uniform_boundary_grid(1024, origin(dim)), ModelConfig(dim)
+        )
+        for _ in range(4):
+            x = random_space_point(rng, dim=dim)
+            res = extension_result(ctx, x, math.inf)
+            assert res.converged
+            assert res.iterations <= 40
+            assert dist(res.minimizer, apply_matrix(g, x)) <= 1e-9
+
+    def test_gapped_points_are_flagged(self):
+        # the points of `horobary extend --seed 9 --grid 16` under the
+        # identity map: five of the ten see a gap wider than a half turn and
+        # were reported converged 0.026-0.38 away from x; grid 64 has none
+        rng = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0])
+        coarse, dense = identity_ctx(16), identity_ctx(64)
+        flagged = 0
+        for _ in range(10):
+            x = random_space_point(rng)
+            res = extension_result(coarse, x, math.inf)
+            flagged += not res.converged
+            assert (dist(res.minimizer, x) <= 1e-9) == res.converged
+            res = extension_result(dense, x, math.inf)
+            assert res.converged and dist(res.minimizer, x) <= 1e-9
+        assert flagged == 5
+
+
 # ---------------------------------------------------------------------------
 # reweighted measures and balance
 

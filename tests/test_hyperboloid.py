@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import horobary
 from horobary.hyperboloid import (
     BoundaryDirection,
     ModelConfig,
@@ -34,7 +38,9 @@ from horobary.hyperboloid import (
     visual_metric,
 )
 from horobary.sampling import (
+    _expm,
     random_boundary_direction,
+    random_lorentz,
     random_space_point,
     random_tangent_vector,
     random_unit_tangent,
@@ -554,3 +560,37 @@ def test_boundary_geodesic_endpoints_and_parametrization():
         assert abs(busemann(u.base, base0, eta) + s) < 1e-9
     with pytest.raises(ValueError):
         boundary_geodesic(xi, xi, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# seeded isometries
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_lorentz_exponential_matches_scipy(dim):
+    from scipy.linalg import expm
+
+    J = np.diag([-1.0] + [1.0] * dim)
+    for seed in range(200):
+        rng = np.random.default_rng([seed, dim])
+        b = rng.normal(size=dim)
+        b *= rng.uniform(0.0, 1.5) / np.linalg.norm(b)
+        a = rng.uniform(-math.pi, math.pi, size=(dim, dim))
+        gen = np.zeros((dim + 1, dim + 1))
+        gen[0, 1:] = gen[1:, 0] = b
+        gen[1:, 1:] = a - a.T
+        got, want = _expm(gen), expm(gen)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(got.T @ J @ got - J)) <= 1e-12
+    g = random_lorentz(np.random.default_rng(dim), dim=dim)
+    assert np.max(np.abs(g.T @ J @ g - J)) <= 1e-12 and g[0, 0] >= 1.0
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs a third of a second and about 28 MiB on import; the
+    # library reaches for it only inside the calls that need it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(horobary.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, horobary.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Property tests of the closed forms: invariance under Lorentz maps and
-under positive rescaling of every boundary input.  A last property checks
-the large-exponent solves against the p = infinity limit.
+under positive rescaling of every boundary input.  Two last properties
+check the large-exponent solves against the p = infinity limit, and the
+Lorentz naturality of the p = infinity extension itself.
 
 Cases are drawn in dims 2-4 with points up to distance 8 from the origin,
 where <x, xi> loses digits to cancellation at x0 ~ cosh(8).  Each bound is
@@ -14,10 +15,13 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from horobary.barycenter import BUSEMANN_MODE, ObjectiveSpec, evaluate_objective, minimize
+from horobary.extension import ExtensionContext, extension_result
 from horobary.hyperboloid import (
     BoundaryDirection,
+    ModelConfig,
     SpacePoint,
     antipode,
     boundary_geodesic,
@@ -27,11 +31,14 @@ from horobary.hyperboloid import (
     comparison_angle,
     cross_ratio,
     direction_to,
+    dist,
     gromov_product,
+    origin,
     tangent_basis,
     visual_metric,
 )
-from horobary.measures import DiscreteMeasure
+from horobary.measures import DiscreteMeasure, uniform_boundary_grid
+from horobary.moebius import BoundaryMap
 from horobary.sampling import (
     random_boundary_direction,
     random_lorentz,
@@ -114,3 +121,31 @@ def test_large_exponents_land_within_the_sandwich_bound(seed, dim, weights, p):
     sup = ObjectiveSpec(math.inf, BUSEMANN_MODE, nu)
     gap = evaluate_objective(sup, res.minimizer) - minimize(sup).value
     assert gap <= math.log(1.0 / nu.weights.min()) / p + 1e-12
+
+
+@PROPERTY
+@given(seed=seeds, dim=dims)
+def test_circumcenter_extension_is_lorentz_natural(seed, dim):
+    # a Lorentz map g extends to g itself wherever the grid leaves no gap
+    # around x; where it does, the solve must say so instead of converging
+    rng = np.random.default_rng([seed, dim])
+    g = random_lorentz(rng, dim=dim)
+    ctx = ExtensionContext(
+        BoundaryMap("lorentz", g), uniform_boundary_grid(64, origin(dim)), ModelConfig(dim)
+    )
+    x = random_space_point(rng, dim)
+    res = extension_result(ctx, x, math.inf)
+    # the unit tangents x -> xi_i, and whether convex weights balance them
+    rays, xc = ctx.base_measure.coords, x.coords
+    dirs = rays / (rays[:, 0] * xc[0] - rays[:, 1:] @ xc[1:])[:, None] - xc
+    balanced = linprog(
+        np.zeros(len(dirs)),
+        A_eq=np.vstack([dirs.T, np.ones(len(dirs))]),
+        b_eq=np.concatenate([np.zeros(dim + 1), [1.0]]),
+        method="highs",
+    ).status == 0
+    if balanced:
+        assert res.converged
+        assert dist(res.minimizer, SpacePoint(g @ xc)) <= 1e-9
+    else:
+        assert not res.converged
