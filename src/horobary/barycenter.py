@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hyperboloid import SpacePoint, _basis, _exp_coords, _on_sheet, dist, minkowski
+from .hyperboloid import SpacePoint, _basis, _exp_coords, _on_sheet, _reproject, dist, minkowski
 from .measures import DiscreteMeasure, write_csv
 
 COSH_MODE = "cosh-distance"
@@ -278,7 +278,9 @@ def _minimax(B, z, weights, grad_tol, max_iters):
             break
         w, y, z = w_new, y_new, w_new / math.sqrt(q_new)
         it += 1
-    z = start if it == 0 else z[0] * start + z[1:] @ E
+    # re-projected as the Newton's trial points are, so that a stalled solve
+    # far out is reported by its gap rather than raised by SpacePoint
+    z = start if it == 0 else _reproject(z[0] * start + z[1:] @ E)
     return z, _norm(lam @ G), it, gap
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .barycenter import SolverConfig, _minimax
 from .hyperboloid import (
     BoundaryDirection,
     SpacePoint,
@@ -27,6 +28,7 @@ from .hyperboloid import (
     _visual,
     busemann,
     cross_ratio,
+    dist,
     minkowski,
     origin,
 )
@@ -35,7 +37,7 @@ from .measures import DiscreteMeasure, uniform_boundary_grid
 LORENTZ_TOL = 1e-10
 MOEBIUS_GATE = 1e-6
 DERIV_CONDITION_TOL = 1e-8
-NM_RESTARTS = 10
+PROJECTION_PASSES = 4    # grid re-centrings in nearest_visual_projection
 
 
 def _minkowski_J(n):
@@ -388,62 +390,41 @@ def conjugacy_footpoints(f, x, grid):
 def nearest_visual_projection(rho, cfg=None, grid_n=360):
     """The point whose visual metric is d_M-closest to rho.
 
-    Direct derivative-free minimization of z -> d_M(rho, rho_z) sampled on
-    a boundary grid.  Everything that depends on rho alone is computed once
-    per call: the grid, and for a pushforward the preimages of the grid and
-    probe rays under rho.f with all of rho's separations between them.
-    Each Nelder-Mead evaluation then computes only the visual side at the
-    candidate z.  A finished descent is restarted from its result, up to
-    NM_RESTARTS times, while the restart still lowers d_M.  Nothing here
-    touches the conjugacy machinery, so the result stays an independent
-    check of the extension constructions.
+    With L_i(z) = log d rho_z / d rho at the rays xi_i of a boundary grid,
+    -L_i(z) = log(-<z, xi_i>) + kappa_i, where kappa_i = log d rho / d rho_o
+    depends on rho alone: the Busemann function for a visual rho, the probe
+    identity of _derivative_on_rays for a pushforward.  max_i -L_i(z) is
+    then the p = infinity energy with rows b_i = e^kappa_i xi_i, solved by
+    barycenter._minimax with cfg's grad_tol and max_iters.  On the
+    continuum this one-sided max equals max |L|, the d_M distance; a grid
+    that leaves a gap as seen from the answer loses that, so the grid is
+    centred at the start point (cfg.initial, else the image point, else
+    rho's point) and re-centred at each answer, until an answer moves by at
+    most 1e-9 or PROJECTION_PASSES solves have run.  Nothing here touches
+    the conjugacy machinery, so the result stays an independent check of
+    the extension constructions.
     """
-    from scipy.optimize import minimize as scipy_minimize
-
-    from .hyperboloid import exp_map, tangent_basis
-
     _require_moebius(rho.f, "nearest visual projection")
-    dim = rho.x.dim
-    rays = uniform_boundary_grid(grid_n, origin(dim)).coords
-
-    if cfg is not None and cfg.initial is not None:
-        base = cfg.initial
+    cfg = cfg or SolverConfig()
+    o = origin(rho.x.dim)
+    if cfg.initial is not None:
+        z = cfg.initial.coords
     elif rho.f is not None:
-        base = SpacePoint(rho.f.matrix @ rho.x.coords)
+        z = rho.f.matrix @ rho.x.coords
     else:
-        base = rho.x
-    E = tangent_basis(base)
-    if rho.is_visual:
-        def log_derivative(z):
-            return _busemann(rho.x.coords, z.coords, rays)
-    else:
-        fixed = _metric_separations(rho, rays, _probe_rays(dim))
-        visual = _ProbeFrame(rays, _probe_rays(dim))
-
-        def log_derivative(z):
-            return np.log(_derivative_from_separations(visual.separations(z.coords), fixed))
-
-    def objective(v):
-        return float(np.max(np.abs(log_derivative(exp_map(base, v @ E)))))
-
-    def descend(v0):
-        return scipy_minimize(
-            objective,
-            v0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000, "maxfev": 4000},
-        )
-
-    # the simplex can collapse short of the minimum, as it does in
-    # dimension 3 from one start in four, so restart from each result with
-    # a fresh simplex until d_M stops dropping by more than fatol
-    res = descend(np.zeros(dim))
-    for _ in range(NM_RESTARTS):
-        again = descend(res.x)
-        if again.fun >= res.fun - 1e-12:
+        z = rho.x.coords
+    for _ in range(PROJECTION_PASSES):
+        centre = SpacePoint(z)
+        grid = uniform_boundary_grid(grid_n, centre)
+        if rho.is_visual:
+            kappa = _busemann(o.coords, rho.x.coords, grid.coords)
+        else:
+            kappa = np.log(_derivative_on_rays(rho, MoebiusMetric(o), grid.coords))
+        B = grid.coords * np.exp(kappa)[:, None]
+        z = _minimax(B, z, grid.weights, cfg.grad_tol, cfg.max_iters)[0]
+        if dist(SpacePoint(z), centre) <= 1e-9:
             break
-        res = again
-    return exp_map(base, res.x @ E)
+    return SpacePoint(z)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from horobary.barycenter import (
 from horobary.extension import conjugated_measure
 from horobary.hyperboloid import (
     SpacePoint,
+    _busemann,
     boundary_endpoint,
     boundary_geodesic,
     direction_to,
@@ -29,10 +30,20 @@ from horobary.hyperboloid import (
     exp_map,
     flip,
     origin,
+    tangent_basis,
 )
-from horobary.moebius import MoebiusMetric, metric_derivative
+from horobary.measures import uniform_boundary_grid
+from horobary.moebius import (
+    MoebiusMetric,
+    _derivative_from_separations,
+    _metric_separations,
+    _probe_rays,
+    _ProbeFrame,
+    metric_derivative,
+)
 
 RADIAL_T = 20.0
+NM_RESTARTS = 10
 
 
 def _ray_point(base, xi, t):
@@ -296,3 +307,58 @@ def doubling_extension(ctx, x, p):
     for q in [2.0**k for k in range(1, 15) if 2.0**k < p] + [p]:
         z, grad_norm, _ = _newton(A, const, logw, q, z, cfg.grad_tol, cfg.max_iters)
     return SpacePoint(z), grad_norm <= cfg.grad_tol
+
+
+def oracle_visual_projection(rho, cfg=None, grid_n=360):
+    """The point whose visual metric is d_M-closest to rho, by direct
+    derivative-free minimization of z -> max |log d rho_z / d rho| on the
+    origin-centred boundary grid.
+
+    A reference for moebius.nearest_visual_projection that shares none of
+    its solver: Nelder-Mead in the tangent space at the start point
+    (cfg.initial, else the image point, else rho's point), on the two-sided
+    sup.  A finished descent is restarted from its result, up to
+    NM_RESTARTS times, while the restart still lowers d_M.
+    """
+    from scipy.optimize import minimize as simplex
+
+    dim = rho.x.dim
+    rays = uniform_boundary_grid(grid_n, origin(dim)).coords
+    if cfg is not None and cfg.initial is not None:
+        base = cfg.initial
+    elif rho.f is not None:
+        base = SpacePoint(rho.f.matrix @ rho.x.coords)
+    else:
+        base = rho.x
+    E = tangent_basis(base)
+    if rho.is_visual:
+        def log_derivative(z):
+            return _busemann(rho.x.coords, z.coords, rays)
+    else:
+        fixed = _metric_separations(rho, rays, _probe_rays(dim))
+        visual = _ProbeFrame(rays, _probe_rays(dim))
+
+        def log_derivative(z):
+            return np.log(_derivative_from_separations(visual.separations(z.coords), fixed))
+
+    def objective(v):
+        return float(np.max(np.abs(log_derivative(exp_map(base, v @ E)))))
+
+    def descend(v0):
+        return simplex(
+            objective,
+            v0,
+            method="Nelder-Mead",
+            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000, "maxfev": 4000},
+        )
+
+    # the simplex can collapse short of the minimum, as it does in
+    # dimension 3 from one start in four, so restart from each result with
+    # a fresh simplex until d_M stops dropping by more than fatol
+    res = descend(np.zeros(dim))
+    for _ in range(NM_RESTARTS):
+        again = descend(res.x)
+        if again.fun >= res.fun - 1e-12:
+            break
+        res = again
+    return exp_map(base, res.x @ E)

@@ -327,6 +327,23 @@ class TestMinimaxRegressions:
             assert res.converged and dist(res.minimizer, x) <= 1e-9
         assert flagged == 5
 
+    @pytest.mark.parametrize("dim, index", [(3, 26), (4, 4), (4, 5), (4, 53)])
+    def test_far_gapped_points_are_flagged_not_raised(self, dim, index):
+        # the index-th of the points drawn at radius 6 from
+        # default_rng([11, dim, 6]), one map per point: the interior point
+        # runs out of iterations there, and its last iterate, mapped back
+        # from the start's frame, was off the sheet by up to 2.8e-8 and
+        # raised from SpacePoint
+        rng = np.random.default_rng([11, dim, 6])
+        for _ in range(index + 1):
+            g = random_lorentz(rng, dim=dim)
+            x = random_space_point(rng, dim=dim, radius=6.0)
+        ctx = ExtensionContext(
+            BoundaryMap("lorentz", g), uniform_boundary_grid(64, origin(dim)), ModelConfig(dim)
+        )
+        res = extension_result(ctx, x, math.inf)
+        assert not res.converged
+
 
 # ---------------------------------------------------------------------------
 # reweighted measures and balance

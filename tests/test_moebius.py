@@ -43,7 +43,7 @@ from horobary.sampling import (
     random_space_point,
     random_unit_tangent,
 )
-from oracles import bracketed_conjugacy
+from oracles import bracketed_conjugacy, oracle_visual_projection
 
 
 def lorentz_map(seed):
@@ -506,24 +506,72 @@ class TestNearestVisual:
     def test_visual_metric_projects_to_its_point(self):
         rng = np.random.default_rng(40)
         x = random_space_point(rng)
-        z = nearest_visual_projection(MoebiusMetric(x), cfg=SolverConfig(initial=origin(2)))
+        rho, cfg = MoebiusMetric(x), SolverConfig(initial=origin(2))
+        z = nearest_visual_projection(rho, cfg=cfg)
         assert dist(z, x) < 1e-6
+        assert dist(z, oracle_visual_projection(rho, cfg=cfg)) < 1e-6
 
     def test_lorentz_pushforward_projects_to_image(self):
         rng = np.random.default_rng(41)
         f = lorentz_map(71)
         x = random_space_point(rng)
         gx = SpacePoint(f.matrix @ x.coords)
-        z = nearest_visual_projection(MoebiusMetric(x, f), cfg=SolverConfig(initial=origin(2)))
+        rho, cfg = MoebiusMetric(x, f), SolverConfig(initial=origin(2))
+        z = nearest_visual_projection(rho, cfg=cfg)
         assert dist(z, gx) < 1e-6
+        assert dist(z, oracle_visual_projection(rho, cfg=cfg)) < 1e-6
 
     def test_lorentz_pushforward_projects_to_image_dim3(self):
         rng = np.random.default_rng(42)
         f = BoundaryMap("lorentz", random_lorentz(rng, dim=3))
         x = random_space_point(rng, dim=3)
         gx = SpacePoint(f.matrix @ x.coords)
-        z = nearest_visual_projection(MoebiusMetric(x, f), cfg=SolverConfig(initial=origin(3)))
+        rho, cfg = MoebiusMetric(x, f), SolverConfig(initial=origin(3))
+        z = nearest_visual_projection(rho, cfg=cfg)
         assert dist(z, gx) < 1e-6
+        assert dist(z, oracle_visual_projection(rho, cfg=cfg)) < 1e-6
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_projection_from_the_origin_recentres_its_grid(self, dim):
+        # a grid centred at the origin leaves gaps as seen from points at
+        # radius 3: a single solve on it misses g x by up to 0.83 in these
+        # draws (point 0 in dim 2, 18 in dim 3, 6, 8 and 16 in dim 4), and
+        # the re-centred grid recovers every point
+        rng = np.random.default_rng([7, dim])
+        for _ in range(20):
+            g = random_lorentz(rng, dim=dim)
+            x = random_space_point(rng, dim=dim, radius=3.0)
+            gx = SpacePoint(g @ x.coords)
+            rho = MoebiusMetric(x, BoundaryMap("lorentz", g))
+            z = nearest_visual_projection(rho, cfg=SolverConfig(initial=origin(dim)))
+            assert dist(z, gx) <= 1e-9
+
+    def test_projection_leaves_scipy_optimize_unimported(self):
+        # the projection is the library's own interior point; dims 2 and 3
+        # are checked, since the dim >= 4 sphere grid imports scipy.stats,
+        # which loads scipy.optimize itself
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from horobary.barycenter import SolverConfig\n"
+            "from horobary.hyperboloid import origin\n"
+            "from horobary.moebius import BoundaryMap, MoebiusMetric, nearest_visual_projection\n"
+            "from horobary.sampling import random_lorentz, random_space_point\n"
+            "rng = np.random.default_rng(5)\n"
+            "for dim in (2, 3):\n"
+            "    x = random_space_point(rng, dim=dim)\n"
+            "    f = BoundaryMap('lorentz', random_lorentz(rng, dim=dim))\n"
+            "    nearest_visual_projection(MoebiusMetric(x))\n"
+            "    nearest_visual_projection(MoebiusMetric(x, f), SolverConfig(initial=origin(dim)))\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(moebius.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
     def test_non_moebius_metric_rejected(self):
         with pytest.raises(ValueError, match="cross-ratio deviation"):
