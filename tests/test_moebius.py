@@ -46,6 +46,16 @@ from horobary.sampling import (
 from oracles import bracketed_conjugacy, oracle_visual_projection
 
 
+def _loads_scipy_optimize(code):
+    """Whether running code in a fresh interpreter imports scipy.optimize."""
+    src = os.path.dirname(os.path.dirname(moebius.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = code + "import sys\nprint('scipy.optimize' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip() == "True"
+
+
 def lorentz_map(seed):
     rng = np.random.default_rng(seed)
     return BoundaryMap("lorentz", random_lorentz(rng))
@@ -445,7 +455,7 @@ class TestConjugacy:
         # the conjugacy and the finite-p extension need no scipy.optimize;
         # a fresh interpreter shows whether anything on the path imports it
         code = (
-            "import math, sys\n"
+            "import math\n"
             "import numpy as np\n"
             "from horobary.extension import ExtensionContext, extension_result\n"
             "from horobary.hyperboloid import direction_to\n"
@@ -461,15 +471,8 @@ class TestConjugacy:
             "ctx = ExtensionContext(f, grid)\n"
             "assert extension_result(ctx, x, 2.0).converged\n"
             "assert extension_result(ctx, x, math.inf).converged\n"
-            "print('scipy.optimize' in sys.modules)\n"
         )
-        src = os.path.dirname(os.path.dirname(moebius.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert not _loads_scipy_optimize(code)
 
     def test_non_moebius_map_rejected(self):
         rng = np.random.default_rng(36)
@@ -551,7 +554,6 @@ class TestNearestVisual:
         # are checked, since the dim >= 4 sphere grid imports scipy.stats,
         # which loads scipy.optimize itself
         code = (
-            "import sys\n"
             "import numpy as np\n"
             "from horobary.barycenter import SolverConfig\n"
             "from horobary.hyperboloid import origin\n"
@@ -563,15 +565,8 @@ class TestNearestVisual:
             "    f = BoundaryMap('lorentz', random_lorentz(rng, dim=dim))\n"
             "    nearest_visual_projection(MoebiusMetric(x))\n"
             "    nearest_visual_projection(MoebiusMetric(x, f), SolverConfig(initial=origin(dim)))\n"
-            "print('scipy.optimize' in sys.modules)\n"
         )
-        src = os.path.dirname(os.path.dirname(moebius.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert not _loads_scipy_optimize(code)
 
     def test_non_moebius_metric_rejected(self):
         with pytest.raises(ValueError, match="cross-ratio deviation"):
