@@ -15,6 +15,7 @@ program, solved by an interior point whose duality gap certifies it.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -74,6 +75,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
+        # the solvers stop at it == max_iters, which a negative or fractional
+        # cap would never meet
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+            raise ValueError("max_iters must be a non-negative integer")
 
 
 @dataclass(frozen=True)

@@ -25,16 +25,18 @@ from .barycenter import (
 )
 from .extension import (
     ExtensionContext,
+    _argmax_set,
     _audit,
+    _derivative_residual,
+    _extension_result,
     _lipschitz_rows,
+    _main_inequality,
+    _mu_x_p,
     _round_trips,
-    argmax_set,
-    circumcenter_extension,
-    derivative_identity_residual,
+    _sides,
+    conjugated_measure,
     extension_result,
     hull_certificate,
-    main_inequality_audit,
-    mu_x_p,
 )
 from .hyperboloid import ModelConfig, SpacePoint, dist, exp_map, origin, tangent_basis
 from .measures import (
@@ -338,15 +340,14 @@ def _gate_suite():
 
 
 def _balance_suite(cases):
-    residuals = [mu_x_p(case["ctx"], case["x"], 64.0)[1].residual for case in cases]
-    return _audit("balance", residuals, 1e-8)
+    return _audit("balance", [case["mu64"][1].residual for case in cases], 1e-8)
 
 
 def _hull_violation(case):
-    ctx, x, y = case["ctx"], case["x"], case["image"]
-    bad = hull_certificate(argmax_set(ctx, x, y)).min_norm
+    ctx, x, y, foots = case["ctx"], case["x"], case["image"], case["foots"]
+    bad = hull_certificate(_argmax_set(ctx, x, foots, y)).min_norm
     off = exp_map(y, 0.5 * tangent_basis(y)[0])
-    aset = argmax_set(ctx, x, off)
+    aset = _argmax_set(ctx, x, foots, off)
     cert_off = hull_certificate(aset)
     if cert_off.feasible or cert_off.separator is None:
         return math.inf
@@ -369,22 +370,36 @@ def _naturality_suite(cases):
 
 
 def _derivative_suite(cases):
-    residuals = [
-        derivative_identity_residual(case["ctx"], case["x"], tangent_basis(case["x"])[0], p)
-        for p in (4.0, 16.0, 64.0)
-        for case in cases[:2]
-    ]
+    # the two sides of each central difference are conjugated once for all
+    # three exponents, and p = 64 takes mu_x_p from the balance suite
+    h = 1e-3
+    probes = []
+    for case in cases[:2]:
+        v = tangent_basis(case["x"])[0]
+        probes.append((case, v, _sides(case["ctx"], case["x"], v, h)))
+    residuals = []
+    for p in (4.0, 16.0, 64.0):
+        for case, v, sides in probes:
+            ctx, x = case["ctx"], case["x"]
+            mu = case["mu64"] if p == 64.0 else _mu_x_p(ctx, x, case["foots"], p)
+            residuals.append(_derivative_residual(ctx, x, v, p, h, mu, sides))
     return _audit("derivative-identity", residuals, 1e-4)
 
 
 def _invariant_suites(cfg, pair_count=8):
+    """The audit battery.  Each audited point is conjugated once, and its
+    conjugated measure is handed to every suite that reads it."""
     rngs = _case_rngs(cfg, pair_count + 2)
     cases = []
     for rng in rngs[:pair_count]:
         ctx, g = _random_pair_ctx(cfg, rng)
         x = random_space_point(rng, dim=cfg.model.dim)
-        # the hull and naturality suites share one solve per case
-        cases.append({"ctx": ctx, "g": g, "x": x, "image": circumcenter_extension(ctx, x)})
+        foots = conjugated_measure(ctx, x)
+        # the hull and naturality suites share one solve per case, and the
+        # balance and derivative suites share mu_x_p at p = 64
+        image = _extension_result(ctx, x, foots, math.inf).minimizer
+        mu64 = _mu_x_p(ctx, x, foots, 64.0)
+        cases.append({"ctx": ctx, "g": g, "x": x, "foots": foots, "image": image, "mu64": mu64})
     pair_rng = rngs[pair_count]
     shared_ctx, shared_g = _random_pair_ctx(cfg, rngs[pair_count + 1])
     # the displacement identity behind the inequality audit is exact only up
@@ -403,10 +418,17 @@ def _invariant_suites(cfg, pair_count=8):
         uniform_boundary_grid(cfg.grid_n, go),
         cfg.model,
     )
-    # the Lipschitz and round-trip audits share one forward solve per point
+    # the inequality, Lipschitz and round-trip audits share one conjugated
+    # measure per pair point, the last two also its p = inf solve
+    foots = [
+        (conjugated_measure(shared_ctx, x), conjugated_measure(shared_ctx, y)) for x, y in pairs
+    ]
     images = [
-        (circumcenter_extension(shared_ctx, x), circumcenter_extension(shared_ctx, y))
-        for x, y in pairs
+        (
+            _extension_result(shared_ctx, x, fx, math.inf).minimizer,
+            _extension_result(shared_ctx, y, fy, math.inf).minimizer,
+        )
+        for (x, y), (fx, fy) in zip(pairs, foots)
     ]
     return [
         _gate_suite(),
@@ -414,7 +436,7 @@ def _invariant_suites(cfg, pair_count=8):
         _hull_suite(cases),
         _naturality_suite(cases),
         _derivative_suite(cases),
-        main_inequality_audit(shared_ctx, pairs, 64.0),
+        _main_inequality(shared_ctx, pairs, foots, 64.0, shared_ctx.model.b),
         _lipschitz_rows(pairs, images, shared_ctx.model.b),
         _round_trips(back, [x for x, _ in pairs], [fx for fx, _ in images]),
     ]

@@ -130,12 +130,12 @@ def conformal_weight(ctx, x, z, xi):
     return busemann(z, y.base, ctx.f(xi))
 
 
-def _conformal_weights(ctx, x, z):
-    """conformal_weight(ctx, x, z, atom) for every atom at once:
-    B(z, y_i, f(xi_i)) with y_i the conjugated footpoint of x -> xi_i."""
+def _conformal_weights(ctx, foots, z):
+    """conformal_weight(ctx, x, z, atom) for every atom at once, from
+    foots = conjugated_measure(ctx, x): B(z, y_i, f(xi_i)) with y_i the
+    conjugated footpoint of x -> xi_i."""
     images = ctx.f.apply_rays(ctx.base_measure.coords)
-    foots = conjugacy_footpoints(ctx.f, x, ctx.base_measure).coords
-    return _busemann(z.coords, foots, images)
+    return _busemann(z.coords, foots.coords, images)
 
 
 def _dirs_to(z, rays):
@@ -157,7 +157,12 @@ def extension_result(ctx, x, p):
     convergence flag of the returned result is authoritative.  At p = inf
     it is also False where 0 lies outside the hull of the directions
     x -> xi_i, since the discrete minimax then misses the extension."""
-    res = minimize(ObjectiveSpec(p, BUSEMANN_MODE, conjugated_measure(ctx, x)))
+    return _extension_result(ctx, x, conjugated_measure(ctx, x), p)
+
+
+def _extension_result(ctx, x, foots, p):
+    # extension_result from foots = conjugated_measure(ctx, x)
+    res = minimize(ObjectiveSpec(p, BUSEMANN_MODE, foots))
     if math.isinf(p) and res.converged:
         coords = _basis_coords(_dirs_to(x, ctx.base_measure.coords), tangent_basis(x))
         if np.linalg.norm(_min_norm_point(coords)[0]) > HULL_SLACK:
@@ -185,12 +190,17 @@ def circumcenter_extension(ctx, x):
 
 def mu_x_p(ctx, x, p):
     """The reweighted boundary measure seen from x at exponent p, and the
-    balance report of its pushforward at the extension point."""
+    balance report of its pushforward at the extension point.  x is
+    conjugated once, for both the solve and the weights."""
+    return _mu_x_p(ctx, x, conjugated_measure(ctx, x), p)
+
+
+def _mu_x_p(ctx, x, foots, p):
+    # mu_x_p from foots = conjugated_measure(ctx, x)
     if not math.isfinite(p):
         raise ValueError("the reweighted measure needs a finite exponent")
-    res = extension_result(ctx, x, p)
-    z = res.minimizer
-    logits = np.log(ctx.base_measure.weights) + p * _conformal_weights(ctx, x, z)
+    z = _extension_result(ctx, x, foots, p).minimizer
+    logits = np.log(ctx.base_measure.weights) + p * _conformal_weights(ctx, foots, z)
     logc = _lse(logits)
     weights = np.exp(logits - logc)
     weights = weights / weights.sum()
@@ -213,8 +223,14 @@ def balance_residual(nu, z):
 # argmax sets and hull certificates
 
 def argmax_set(ctx, x, y, epsilon=EPS_ARGMAX):
-    """Atoms whose conformal weight at (x, y) is within epsilon of the max."""
-    values = _conformal_weights(ctx, x, y)
+    """Atoms whose conformal weight at (x, y) is within epsilon of the max;
+    x is conjugated once."""
+    return _argmax_set(ctx, x, conjugated_measure(ctx, x), y, epsilon)
+
+
+def _argmax_set(ctx, x, foots, y, epsilon=EPS_ARGMAX):
+    # argmax_set from foots = conjugated_measure(ctx, x)
+    values = _conformal_weights(ctx, foots, y)
     cut = float(np.max(values)) - epsilon
     keep = values >= cut
     members = [ctx.base_measure.atom(i) for i in np.flatnonzero(keep)]
@@ -297,14 +313,19 @@ def extension_differential(ctx, x, v, p, h=1e-3):
     space by the logarithm map.
     """
     base = extension_result(ctx, x, p).minimizer
-    return base, _central_difference(ctx, x, v, p, h, base)
+    return base, _central_difference(ctx, _sides(ctx, x, v, h), p, h, base)
 
 
-def _central_difference(ctx, x, v, p, h, base):
-    # DF_p(v) at x, transported to the tangent space of base = F_p(x)
+def _sides(ctx, x, v, h):
+    # the points exp_map(x, +-h v) of the central difference, each with its
+    # conjugated measure, which serves every exponent
     v = np.asarray(v, float)
-    plus = p_extension(ctx, exp_map(x, h * v), p)
-    minus = p_extension(ctx, exp_map(x, -h * v), p)
+    return [(y, conjugated_measure(ctx, y)) for y in (exp_map(x, h * v), exp_map(x, -h * v))]
+
+
+def _central_difference(ctx, sides, p, h, base):
+    # DF_p(v) at x, transported to the tangent space of base = F_p(x)
+    plus, minus = (_extension_result(ctx, y, foots, p).minimizer for y, foots in sides)
     return (log_map(base, plus) - log_map(base, minus)) / (2.0 * h)
 
 
@@ -317,9 +338,16 @@ def derivative_identity_residual(ctx, x, v, p, h=1e-3):
     """
     if not (1e-4 <= h <= 1e-2):
         raise ValueError("step h must lie in [1e-4, 1e-2]")
-    measure, report = mu_x_p(ctx, x, p)
+    reweighted = mu_x_p(ctx, x, p)
+    return _derivative_residual(ctx, x, v, p, h, reweighted, _sides(ctx, x, v, h))
+
+
+def _derivative_residual(ctx, x, v, p, h, reweighted, sides):
+    # derivative_identity_residual from reweighted = mu_x_p(ctx, x, p) and
+    # sides = _sides(ctx, x, v, h)
+    measure, report = reweighted
     base = report.point
-    du = _central_difference(ctx, x, v, p, h, base)
+    du = _central_difference(ctx, sides, p, h, base)
     w = measure.weights
     du_norm2 = minkowski(du, du)
     du_dot = minkowski(_image_dirs(ctx, base), du)
@@ -351,14 +379,19 @@ def _audit(name, violations, tol, rows=None):
 
 def main_inequality_audit(ctx, pairs, p, b=None):
     """Both comparison inequalities for cosh of extension displacements."""
-    if b is None:
-        b = ctx.model.b
+    foots = [(conjugated_measure(ctx, x), conjugated_measure(ctx, y)) for x, y in pairs]
+    return _main_inequality(ctx, pairs, foots, p, ctx.model.b if b is None else b)
+
+
+def _main_inequality(ctx, pairs, foots, p, b):
+    # main_inequality_audit from the conjugated measures (of x, of y) of
+    # the pairs
     images = ctx.f.apply_rays(ctx.base_measure.coords)
     rows = []
-    for x, y in pairs:
-        measure, report = mu_x_p(ctx, x, p)
+    for (x, y), (foots_x, foots_y) in zip(pairs, foots):
+        measure, report = _mu_x_p(ctx, x, foots_x, p)
         fx = report.point
-        fy = extension_result(ctx, y, p).minimizer
+        fy = _extension_result(ctx, y, foots_y, p).minimizer
         bus = _busemann(fy.coords, fx.coords, images)
         d = dist(fx, fy)
         upper = float(measure.weights @ np.exp(bus))

@@ -28,7 +28,6 @@ from .hyperboloid import (
 )
 
 WEIGHT_TOL = 1e-12
-COALESCE_TOL = 1e-12
 
 KINDS = ("space", "boundary", "tangent")
 
@@ -238,42 +237,15 @@ def pushforward_map(mu, f):
 
 
 def pushforward_conjugacy(nu, phi):
-    """Atomwise image of a tangent measure under a flow conjugacy."""
+    """Atomwise image of a tangent measure under a flow conjugacy.  The
+    library does not call it; test_flow_project_semigroup builds its flowed
+    measure with it."""
     if nu.kind != "tangent":
         raise ValueError("pushforward_conjugacy expects a tangent measure")
     images = [phi(nu.atom(i)) for i in range(len(nu))]
     coords = np.stack([im.base.coords for im in images])
     dirs = np.stack([im.dir for im in images])
     return DiscreteMeasure("tangent", coords, nu.weights.copy(), dirs)
-
-
-def coalesce(mu, tol=COALESCE_TOL):
-    """Merge atoms whose positions agree within tol, adding their weights."""
-    reps: list[int] = []
-    owner = np.empty(len(mu), dtype=int)
-    for i in range(len(mu)):
-        for j, r in enumerate(reps):
-            if _same_atom(mu, i, r, tol):
-                owner[i] = j
-                break
-        else:
-            owner[i] = len(reps)
-            reps.append(i)
-    if len(reps) == len(mu):
-        return mu
-    weights = np.zeros(len(reps))
-    np.add.at(weights, owner, mu.weights)
-    coords = mu.coords[reps]
-    dirs = mu.dirs[reps] if mu.dirs is not None else None
-    return DiscreteMeasure(mu.kind, coords, weights, dirs)
-
-
-def _same_atom(mu, i, j, tol):
-    if np.max(np.abs(mu.coords[i] - mu.coords[j])) > tol:
-        return False
-    if mu.dirs is not None and np.max(np.abs(mu.dirs[i] - mu.dirs[j])) > tol:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Independent reference computations for pinning expected values.
 
 Everything here goes through defining limits, finite differences, or brute
-force on the Poincare disk -- never through the closed forms under test.
+force on the Poincare disk -- never through the closed forms under test --
+except the two-pass audit references at the end, which repeat the library's
+own arithmetic with each point conjugated afresh, to pin bit-identity.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from horobary.barycenter import (
     BUSEMANN_MODE,
@@ -17,9 +19,18 @@ from horobary.barycenter import (
     SolverConfig,
     _atom_kernel,
     _auto_initial,
+    _lse,
     _newton,
 )
-from horobary.extension import conjugated_measure
+from horobary.extension import (
+    MAIN_INEQ_SLACK,
+    ArgmaxSet,
+    BalanceReport,
+    _audit,
+    _image_dirs,
+    conjugated_measure,
+    extension_result,
+)
 from horobary.hyperboloid import (
     SpacePoint,
     _busemann,
@@ -29,10 +40,11 @@ from horobary.hyperboloid import (
     dist,
     exp_map,
     flip,
+    minkowski,
     origin,
     tangent_basis,
 )
-from horobary.measures import uniform_boundary_grid
+from horobary.measures import DiscreteMeasure, uniform_boundary_grid
 from horobary.moebius import (
     MoebiusMetric,
     _derivative_from_separations,
@@ -151,8 +163,20 @@ def from_disk(q) -> SpacePoint:
     return SpacePoint(np.concatenate(([(1.0 + s)], 2.0 * q)) / (1.0 - s))
 
 
-def disk_distance(grid, q, grid_gap=None):
-    """Hyperbolic distance from each grid row to the disk point q.
+def _sq_dist(grid, q):
+    # |row - q|^2 for each grid row, one coordinate column at a time: the
+    # same sums as np.sum over the last axis, without its strided reduction
+    return sum((grid[:, k] - q[k]) ** 2 for k in range(grid.shape[1]))
+
+
+def _disk_gap(grid):
+    # 1 - |row|^2 for each grid row
+    return 1.0 - _sq_dist(grid, (0.0, 0.0))
+
+
+def disk_cosh_excess(grid, q, grid_gap=None):
+    """cosh d - 1 = 2|z - q|^2 / ((1 - |z|^2)(1 - |q|^2)) from each grid row z
+    to the disk point q.
 
     grid_gap, when given, is 1 - |row|^2 for each grid row, so that callers
     measuring one grid against many points compute it once.
@@ -160,21 +184,18 @@ def disk_distance(grid, q, grid_gap=None):
     grid = np.asarray(grid, float)
     q = np.asarray(q, float)
     if grid_gap is None:
-        grid_gap = 1.0 - np.sum(grid**2, axis=-1)
-    dd = np.sum((grid - q) ** 2, axis=-1)
-    den = grid_gap * (1.0 - q @ q)
-    return np.arccosh(1.0 + 2.0 * dd / den)
+        grid_gap = _disk_gap(grid)
+    return 2.0 * _sq_dist(grid, q) / (grid_gap * (1.0 - q @ q))
 
 
-def disk_busemann(grid, q, xi_unit):
-    """B(z, q, xi) for each grid row z, via the horospherical potential
-    b_xi(z) = log(|xi - z|^2 / (1 - |z|^2)) relative to the disk center."""
+def disk_busemann_exp(grid, q, xi_unit):
+    """exp B(z, q, xi) for each grid row z: the ratio of the horospherical
+    potentials |xi - z|^2 / (1 - |z|^2) at z and at q."""
     grid = np.asarray(grid, float)
     q = np.asarray(q, float)
     xi_unit = np.asarray(xi_unit, float)
-    bz = np.log(np.sum((xi_unit - grid) ** 2, axis=-1) / (1.0 - np.sum(grid**2, axis=-1)))
-    bq = np.log(np.sum((xi_unit - q) ** 2) / (1.0 - q @ q))
-    return bz - bq
+    at_q = np.sum((xi_unit - q) ** 2) / (1.0 - q @ q)
+    return _sq_dist(grid, xi_unit) / _disk_gap(grid) / at_q
 
 
 def _square_grid(center, half, step):
@@ -216,9 +237,12 @@ def oracle_p_barycenter(atoms, weights, p, step=1e-3):
     logw = np.log(np.asarray(weights, float))
 
     def objective(grid):
-        gap = 1.0 - np.sum(grid**2, axis=-1)
-        phi = np.stack([np.log(np.cosh(disk_distance(grid, a, gap))) for a in disk_atoms])
-        return logsumexp(logw[:, None] + p * phi, axis=0) / p
+        gap = _disk_gap(grid)
+        # log cosh d = log1p(cosh d - 1), with no arccosh to undo
+        phi = np.stack([np.log1p(disk_cosh_excess(grid, a, gap)) for a in disk_atoms])
+        terms = logw[:, None] + p * phi
+        top = terms.max(axis=0)
+        return (top + np.log(np.sum(np.exp(terms - top), axis=0))) / p
 
     return from_disk(grid_minimize(objective, step=step))
 
@@ -254,8 +278,10 @@ def oracle_circumcenter(atoms, step=1e-3):
     disk_atoms = np.array([to_disk(a) for a in atoms])
 
     def objective(grid):
-        gap = 1.0 - np.sum(grid**2, axis=-1)
-        return np.max(np.stack([disk_distance(grid, a, gap) for a in disk_atoms]), axis=0)
+        gap = _disk_gap(grid)
+        # arccosh is increasing, so it is taken once, of the max
+        excess = np.max(np.stack([disk_cosh_excess(grid, a, gap) for a in disk_atoms]), axis=0)
+        return np.arccosh(1.0 + excess)
 
     return _disk_minimax(objective, step)
 
@@ -266,8 +292,12 @@ def oracle_asymptotic_circumcenter(bases, xi_units, step=2e-3):
     disk_bases = np.array([to_disk(y) for y in bases])
 
     def objective(grid):
-        return np.max(
-            np.stack([disk_busemann(grid, y, u) for y, u in zip(disk_bases, xi_units)]), axis=0
+        # log is increasing, so it is taken once, of the max
+        return np.log(
+            np.max(
+                np.stack([disk_busemann_exp(grid, y, u) for y, u in zip(disk_bases, xi_units)]),
+                axis=0,
+            )
         )
 
     return _disk_minimax(objective, step)
@@ -280,13 +310,16 @@ def oracle_asymptotic_p_barycenter(bases, xi_units, weights, p, step=1e-3):
     (a Euclidean unit vector on the disk boundary).
     """
     disk_bases = np.array([to_disk(y) for y in bases])
-    logw = np.log(np.asarray(weights, float))
+    w = np.asarray(weights, float)
 
     def objective(grid):
-        phi = np.stack(
-            [disk_busemann(grid, y, u) for y, u in zip(disk_bases, xi_units)]
-        )
-        return logsumexp(logw[:, None] + p * phi, axis=0) / p
+        # the energy is log/p of the p-mean of exp B, which is increasing in
+        # that mean; the mean overflows only for p far above the tests' own
+        ratios = np.stack([disk_busemann_exp(grid, y, u) for y, u in zip(disk_bases, xi_units)])
+        mean = w @ ratios**p
+        if not np.all(np.isfinite(mean)):
+            raise OverflowError(f"the exp-Busemann p-mean overflows at p = {p:g}")
+        return mean
 
     return from_disk(grid_minimize(objective, step=step))
 
@@ -362,3 +395,59 @@ def oracle_visual_projection(rho, cfg=None, grid_n=360):
             break
         res = again
     return exp_map(base, res.x @ E)
+
+
+# ---------------------------------------------------------------------------
+# Two-pass references for the audits: the solve at x and the conformal
+# weights at x each conjugate x afresh, as the audits did before they shared
+# one conjugated measure per point.  Same arithmetic, so the same bits.
+
+def _two_pass_weights(ctx, x, z):
+    images = ctx.f.apply_rays(ctx.base_measure.coords)
+    return _busemann(z.coords, conjugated_measure(ctx, x).coords, images)
+
+
+def two_pass_mu_x_p(ctx, x, p):
+    """extension.mu_x_p with x conjugated twice."""
+    z = extension_result(ctx, x, p).minimizer
+    logits = np.log(ctx.base_measure.weights) + p * _two_pass_weights(ctx, x, z)
+    logc = _lse(logits)
+    weights = np.exp(logits - logc)
+    weights = weights / weights.sum()
+    r = weights @ _image_dirs(ctx, z)
+    residual = math.sqrt(max(minkowski(r, r), 0.0))
+    measure = DiscreteMeasure("boundary", ctx.base_measure.coords, weights)
+    return measure, BalanceReport(z, residual, float(logc))
+
+
+def two_pass_argmax_set(ctx, x, y, epsilon):
+    """extension.argmax_set with x conjugated apart from any solve."""
+    values = _two_pass_weights(ctx, x, y)
+    keep = values >= float(np.max(values)) - epsilon
+    members = [ctx.base_measure.atom(i) for i in np.flatnonzero(keep)]
+    return ArgmaxSet(x, y, epsilon, members, _image_dirs(ctx, y)[keep])
+
+
+def two_pass_main_inequality(ctx, pairs, p):
+    """extension.main_inequality_audit at the context's pinching, each pair
+    solved by two_pass_mu_x_p at x and extension_result at y."""
+    b = ctx.model.b
+    images = ctx.f.apply_rays(ctx.base_measure.coords)
+    rows = []
+    for x, y in pairs:
+        measure, report = two_pass_mu_x_p(ctx, x, p)
+        fx, fy = report.point, extension_result(ctx, y, p).minimizer
+        bus = _busemann(fy.coords, fx.coords, images)
+        d = dist(fx, fy)
+        upper = float(measure.weights @ np.exp(bus))
+        lower = float(measure.weights @ np.exp(b * bus))
+        rows.append(
+            {
+                "distance": d,
+                "cosh_distance": math.cosh(d),
+                "exp_busemann_mean": upper,
+                "curvature_side": lower,
+                "violation": max(math.cosh(d) - upper, lower - math.cosh(b * d)),
+            }
+        )
+    return _audit("main-inequality", [r["violation"] for r in rows], MAIN_INEQ_SLACK, rows)

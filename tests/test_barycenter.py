@@ -151,6 +151,20 @@ def test_nonconvergence_is_flagged():
     assert res.iterations == 1
 
 
+@pytest.mark.parametrize("p", [8.0, math.inf])
+def test_iteration_cap_must_be_a_non_negative_integer(p):
+    # the Newton (p = 8) and interior-point (p = inf) solvers both stop at
+    # it == max_iters: a negative or fractional cap would never stop them
+    rng = np.random.default_rng(61)
+    spec = ObjectiveSpec(p, COSH_MODE, space_measure([random_space_point(rng) for _ in range(5)]))
+    for bad in (-1, 2.5, 3.0, None):
+        with pytest.raises(ValueError, match="max_iters"):
+            minimize(spec, SolverConfig(max_iters=bad))
+    capped = minimize(spec, SolverConfig(max_iters=np.int64(2)))
+    assert not capped.converged and capped.iterations == 2
+    assert minimize(spec, SolverConfig(max_iters=0)).iterations == 0
+
+
 def test_newton_does_not_stall_at_the_rounding_floor():
     # on the symmetric dim-3 tangent measure, p >= 2048 leaves a gradient of
     # about 1e-8 whose predicted decrease the energy value cannot resolve;

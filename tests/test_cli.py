@@ -271,15 +271,31 @@ class TestVerify:
     def test_verify_solves_each_point_once(self, tmp_path, monkeypatch):
         # hull and naturality share one p = inf solve per case, the
         # Lipschitz and round-trip audits share the forward solve of each
-        # pair point, and the inequality and derivative audits take x's
-        # solve from mu_x_p
+        # pair point, the inequality and derivative audits take x's solve
+        # from mu_x_p, and the balance and derivative audits share mu_x_p
+        # at p = 64; every extension solve is one extension.minimize call
         solves = Counter()
-        solve = extension.extension_result
+        solve = extension.minimize
 
-        def counted(ctx, x, p):
-            solves[p] += 1
-            return solve(ctx, x, p)
+        def counted(spec, cfg=None):
+            solves[spec.exponent] += 1
+            return solve(spec, cfg)
 
-        monkeypatch.setattr(extension, "extension_result", counted)
+        monkeypatch.setattr(extension, "minimize", counted)
         assert main(["verify", "--seed", "4", "--out", str(tmp_path)]) == 0
-        assert solves == {math.inf: 32, 64.0: 30, 4.0: 6, 16.0: 6}
+        assert solves == {math.inf: 32, 64.0: 28, 4.0: 6, 16.0: 6}
+
+    def test_verify_conjugates_each_point_once(self, tmp_path, monkeypatch):
+        # 8 case points, the 2 x 2 sides of the derivative audit's central
+        # differences, the 16 pair points and their 8 forward images
+        seen = Counter()
+        conjugate = extension.conjugacy_footpoints
+
+        def counted(f, x, grid):
+            seen[id(f), id(grid), x.coords.tobytes()] += 1
+            return conjugate(f, x, grid)
+
+        monkeypatch.setattr(extension, "conjugacy_footpoints", counted)
+        assert main(["verify", "--seed", "4", "--out", str(tmp_path)]) == 0
+        assert sum(seen.values()) == 36
+        assert set(seen.values()) == {1}

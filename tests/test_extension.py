@@ -137,7 +137,7 @@ class TestConformalWeight:
             busemann(z, SpacePoint(foots.coords[i]), BoundaryDirection(images[i]))
             for i in range(len(foots))
         ]
-        assert extension._conformal_weights(ctx, x, z).tolist() == expected
+        assert extension._conformal_weights(ctx, foots, z).tolist() == expected
 
     def test_cross_check_against_metric_derivative(self):
         ctx = lorentz_ctx(9, n=8)
@@ -395,6 +395,45 @@ class TestReweightedMeasure:
         ctx = identity_ctx(8)
         with pytest.raises(ValueError, match="finite"):
             mu_x_p(ctx, O, math.inf)
+
+
+class TestOneConjugationPerPoint:
+    # the two-pass reference conjugates x once for the solve and again for
+    # the weights; the arithmetic is the same, so every bit must agree
+    def test_mu_x_p_matches_the_two_pass_reference(self):
+        ctx = lorentz_ctx(21, n=32)
+        for x in (point_at([0.4, -1.0], 0.9), point_at([-0.7, 0.3], 1.6)):
+            for p in (4.0, 64.0):
+                measure, report = mu_x_p(ctx, x, p)
+                ref_measure, ref_report = oracles.two_pass_mu_x_p(ctx, x, p)
+                assert measure.weights.tobytes() == ref_measure.weights.tobytes()
+                assert report.point.coords.tobytes() == ref_report.point.coords.tobytes()
+                assert (report.residual, report.normalizer) == (
+                    ref_report.residual,
+                    ref_report.normalizer,
+                )
+
+    def test_argmax_set_matches_the_two_pass_reference(self):
+        ctx = lorentz_ctx(22, n=32)
+        x = point_at([0.9, 0.5], 1.2)
+        for y in (circumcenter_extension(ctx, x), point_at([-0.2, 0.8], 0.7)):
+            aset = argmax_set(ctx, x, y, epsilon=0.5)
+            ref = oracles.two_pass_argmax_set(ctx, x, y, epsilon=0.5)
+            assert [m.coords.tobytes() for m in aset.members] == [
+                m.coords.tobytes() for m in ref.members
+            ]
+            assert aset.image_dirs.tobytes() == ref.image_dirs.tobytes()
+
+    def test_main_inequality_matches_the_two_pass_reference(self):
+        rng = np.random.default_rng(23)
+        ctx = lorentz_ctx(24, n=32)
+        pairs = [
+            (random_space_point(rng, radius=1.5), random_space_point(rng, radius=1.5))
+            for _ in range(3)
+        ]
+        audit = main_inequality_audit(ctx, pairs, 16.0)
+        assert audit == oracles.two_pass_main_inequality(ctx, pairs, 16.0)
+        assert audit["pairs"] == 3
 
 
 class TestBalanceResidual:

@@ -15,7 +15,6 @@ from horobary.hyperboloid import (
 from horobary.measures import (
     DiscreteMeasure,
     _sphere_grid,
-    coalesce,
     flow_project,
     load_measure,
     measure_from_dict,
@@ -279,23 +278,6 @@ def test_pushforward_map_identity_and_rotation():
     orig = {tuple(np.round(c, 12)) for c in mu.coords}
     img = {tuple(np.round(c, 12)) for c in rotated.coords}
     assert orig == img
-
-
-def test_coalesce_merges_duplicates():
-    o = origin(2)
-    xi = BoundaryDirection([1.0, 1.0, 0.0])
-    eta = BoundaryDirection([1.0, 0.0, 1.0])
-    mu = DiscreteMeasure(
-        "boundary",
-        [xi.coords, eta.coords, xi.coords],
-        [0.25, 0.5, 0.25],
-    )
-    merged = coalesce(mu)
-    assert len(merged) == 2
-    assert abs(merged.weights.sum() - 1.0) < 1e-15
-    idx = [tuple(c) for c in merged.coords].index(tuple(xi.coords))
-    assert abs(merged.weights[idx] - 0.5) < 1e-15
-    assert coalesce(merged) is merged
 
 
 def test_json_round_trip_exact(tmp_path):
